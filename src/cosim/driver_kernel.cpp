@@ -35,6 +35,9 @@ void DriverKernelExtension::quiesce(const std::string& reason) {
   interrupts_.close();
   backlog_.clear();
   pending_interrupts_.clear();
+  // Time correlation ends with the session: a guest blocked paying for its
+  // last slice resumes at once instead of waiting on deposits.
+  if (budget_ != nullptr) budget_->close();
 }
 
 void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
@@ -162,10 +165,7 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
   // Reverse throttle: hold simulated time while the guest lags far behind
   // its instruction allowance (idle guests drain instantly in DriverTarget,
   // so this only bites when the ISS thread is genuinely behind).
-  if (budget_ != nullptr && options_.max_budget_lead > 0 &&
-      budget_->available() > options_.max_budget_lead) {
-    budget_->wait_below(options_.max_budget_lead, 2);
-  }
+  if (budget_ != nullptr) budget_->wait_below_lead();
   // Paper Fig. 5: "interrupt generated?" at the end of the cycle.
   while (!pending_interrupts_.empty()) {
     std::uint32_t irq = pending_interrupts_.front();
@@ -181,13 +181,7 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
 }
 
 void DriverKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_time& now) {
-  if (budget_ == nullptr) return;
-  const std::uint64_t elapsed_ps = now.ps() - last_time_ps_;
-  last_time_ps_ = now.ps();
-  const std::uint64_t scaled = elapsed_ps * options_.instructions_per_us + deposit_remainder_;
-  deposit_remainder_ = scaled % 1000000;
-  const std::uint64_t instructions = scaled / 1000000;
-  if (instructions > 0) budget_->deposit(instructions);
+  if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
 }
 
 bool DriverKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
@@ -205,7 +199,6 @@ bool DriverKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
 }
 
 void DriverKernelExtension::on_run_end(sysc::sc_simcontext&) {
-  if (budget_ != nullptr) budget_->deposit(options_.instructions_per_us);
   // Batched publication, mirroring GdbKernelExtension::on_run_end.
   static obs::Counter& c_in = obs::counter("cosim.drvk.messages_in");
   static obs::Counter& c_out = obs::counter("cosim.drvk.messages_out");

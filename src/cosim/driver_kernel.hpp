@@ -38,8 +38,6 @@ struct DriverKernelOptions {
   /// (asynchronous data flow). When false, the driver must send READ
   /// requests.
   bool push_outputs = true;
-  /// Reverse throttle (see GdbKernelOptions::max_budget_lead). 0 disables.
-  std::uint64_t max_budget_lead = 8192;
   /// iss_out ports this extension's driver owns: only these are pushed on
   /// its data socket. Empty = all output ports (single-CPU setups). In
   /// multi-processor designs each CPU's extension must list its own ports,
@@ -63,7 +61,8 @@ struct DriverKernelStats {
 class DriverKernelExtension : public sysc::kernel_extension {
  public:
   /// `data` and `interrupts` are the kernel-side endpoints of the data and
-  /// interrupt sockets; `budget` (may be null) meters the ISS.
+  /// interrupt sockets; `budget` (may be null) meters the ISS and is closed
+  /// when the session quiesces.
   DriverKernelExtension(ipc::Channel data, ipc::Channel interrupts, TimeBudget* budget,
                         DriverKernelOptions options = {});
 
@@ -92,8 +91,9 @@ class DriverKernelExtension : public sysc::kernel_extension {
  private:
   void handle_message(sysc::sc_simcontext& ctx, const ipc::DriverMessage& msg);
 
-  /// Shuts the data/interrupt ports down after a transport failure and
-  /// latches a CosimError; idempotent.
+  /// Shuts the data/interrupt ports down after a transport failure, closes
+  /// the budget (the guest runs on unthrottled) and latches a CosimError;
+  /// idempotent.
   void quiesce(const std::string& reason);
 
   bool delivery_safe(sysc::sc_simcontext& ctx, const sysc::iss_port_base* port) const;
@@ -106,8 +106,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   /// Messages whose target port is still draining a previous delivery.
   std::deque<ipc::DriverMessage> backlog_;
   std::map<const sysc::iss_port_base*, std::uint64_t> last_delivery_delta_;
-  std::uint64_t last_time_ps_ = 0;
-  std::uint64_t deposit_remainder_ = 0;
   bool quiesced_ = false;
   std::optional<CosimError> error_;
   DriverKernelStats stats_;

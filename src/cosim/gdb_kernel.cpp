@@ -18,7 +18,7 @@ GdbKernelExtension::GdbKernelExtension(rsp::GdbClient& client, TimeBudget* budge
 void GdbKernelExtension::on_elaboration(sysc::sc_simcontext& ctx) {
   // Validate that every binding references an existing iss port of the
   // right direction (configuration mistakes propagate as LogicError), then
-  // install the breakpoints on the halted target.
+  // install the breakpoints on the halted target and resume it.
   for (const BreakpointBinding& b : bindings_) {
     sysc::iss_port_base* port = ctx.find_iss_port(b.port);
     util::require(port != nullptr, "GdbKernel: no iss port named " + b.port);
@@ -34,21 +34,14 @@ void GdbKernelExtension::on_elaboration(sysc::sc_simcontext& ctx) {
   // like any mid-run failure.
   try {
     for (const BreakpointBinding& b : bindings_) client_.set_breakpoint(b.breakpoint_addr);
-    if (options_.auto_continue) client_.cont();
+    client_.cont();
   } catch (const util::RuntimeError& e) {
     fail(ctx, e.what());
   }
 }
 
 void GdbKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_time& now) {
-  if (budget_ == nullptr) return;
-  const std::uint64_t elapsed_ps = now.ps() - last_time_ps_;
-  last_time_ps_ = now.ps();
-  // instructions = elapsed_ps * instr_per_us / 1e6, with remainder carry.
-  const std::uint64_t scaled = elapsed_ps * options_.instructions_per_us + deposit_remainder_;
-  deposit_remainder_ = scaled % 1000000;
-  const std::uint64_t instructions = scaled / 1000000;
-  if (instructions > 0) budget_->deposit(instructions);
+  if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
 }
 
 bool GdbKernelExtension::delivery_safe(sysc::sc_simcontext& ctx,
@@ -94,11 +87,9 @@ void GdbKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
 void GdbKernelExtension::on_cycle_end(sysc::sc_simcontext&) {
   // Reverse throttle: after this cycle's servicing, hold simulated time
   // while the ISS is running but far behind on its instruction allowance.
-  if (finished_ || budget_ == nullptr || options_.max_budget_lead == 0) return;
+  if (finished_ || budget_ == nullptr) return;
   if (!client_.running() || deferred_stop_) return;  // not draining by design
-  if (budget_->available() > options_.max_budget_lead) {
-    budget_->wait_below(options_.max_budget_lead, 2);
-  }
+  budget_->wait_below_lead();
 }
 
 bool GdbKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
@@ -153,9 +144,9 @@ bool GdbKernelExtension::service_stop(sysc::sc_simcontext& ctx, const rsp::StopR
     ++stats_.values_to_sc;
   } else {
     // The guest is about to read the variable: inject the port's value.
-    // With the (default) freshness gate, the guest waits — halted — until
-    // the hardware writes a value it has not consumed yet: flow control.
-    if (options_.inject_requires_fresh && !port->has_fresh_value()) return false;
+    // Freshness gate: the guest waits — halted — until the hardware writes
+    // a value it has not consumed yet: flow control.
+    if (!port->has_fresh_value()) return false;
     auto bytes = port->peek_bytes();
     client_.write_memory(binding.variable_addr, bytes);
     port->consume_fresh();

@@ -34,17 +34,6 @@ struct GdbKernelOptions {
   /// ISS instructions granted per microsecond of simulated time (the CPU's
   /// nominal speed relative to the hardware clock).
   std::uint64_t instructions_per_us = 10000;
-  /// Resume the target automatically after elaboration.
-  bool auto_continue = true;
-  /// Gate iss_out injections on fresh hardware values: the guest blocks at
-  /// its breakpoint until hardware wrote a not-yet-consumed value. Disable
-  /// for status-register-style polling of the same value.
-  bool inject_requires_fresh = true;
-  /// Reverse throttle: simulated time stalls (briefly) while more than this
-  /// many granted-but-unexecuted instructions are outstanding, so a
-  /// host-scheduling hiccup on the ISS thread cannot masquerade as a slow
-  /// simulated CPU. 0 disables.
-  std::uint64_t max_budget_lead = 8192;
 };
 
 struct GdbKernelStats {
@@ -97,8 +86,6 @@ class GdbKernelExtension : public sysc::kernel_extension {
   GdbKernelOptions options_;
   bool finished_ = false;
   std::optional<CosimError> error_;
-  std::uint64_t last_time_ps_ = 0;
-  std::uint64_t deposit_remainder_ = 0;
   /// A stop whose iss_in delivery must wait for the port to drain. The ISS
   /// stays halted meanwhile: natural backpressure.
   std::optional<rsp::StopReply> deferred_stop_;

@@ -4,30 +4,16 @@
 #include <thread>
 
 #include "iss/assembler.hpp"
-#include "util/deadline.hpp"
 #include "util/log.hpp"
 
 namespace nisc::cosim {
 
 namespace {
 
-/// Waits for `exited` under a deadline, then joins. All target-side
-/// blocking paths are individually bounded, so the join after an expired
-/// deadline still terminates; the log line tells the operator which session
-/// overstayed.
-void join_with_deadline(const char* who, std::thread& thread, const std::atomic<bool>& exited,
-                        int timeout_ms) {
-  if (!thread.joinable()) return;
-  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
-  while (!exited.load(std::memory_order_acquire) && !deadline.expired()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  if (!exited.load(std::memory_order_acquire)) {
-    NISC_ERROR(who) << "target thread still running after " << timeout_ms
-                    << " ms; joining anyway (bounded I/O deadlines will release it)";
-  }
-  thread.join();
-}
+/// Instructions per stub continue-slice between transport polls.
+constexpr std::uint64_t kStubQuantum = 1024;
+/// Transfers each session's wire capture keeps for post-mortems.
+constexpr std::size_t kCaptureFrames = 32;
 
 }  // namespace
 
@@ -51,18 +37,14 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
     fault_state_ = ipc::FaultyChannel::install(pair.a, config_.fault_plan);
   }
   if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("gdb", config_.capture_frames);
+    capture_ = std::make_shared<ipc::WireCapture>("gdb", kCaptureFrames);
     pair.b.attach_capture(capture_);
   }
   if (config_.wire_observer) pair.b.attach_observer(config_.wire_observer);
   rsp::StubOptions stub_options;
-  stub_options.quantum = config_.stub_quantum;
+  stub_options.quantum = kStubQuantum;
   if (config_.throttled) {
-    stub_options.acquire_quantum = [this](std::uint64_t want) {
-      std::uint64_t granted = budget_.acquire_for(want, config_.stall_timeout_ms);
-      if (granted > 0) progress_.fetch_add(1, std::memory_order_relaxed);
-      return granted;
-    };
+    stub_options.acquire_quantum = [this](std::uint64_t want) { return budget_.acquire(want); };
     // A halted CPU does not consume simulated time: park its allowance so
     // the reverse throttle never mistakes a breakpoint stop for a slow CPU.
     stub_options.on_run_state = [this](bool running) { budget_.set_idle(!running); };
@@ -78,12 +60,9 @@ GdbTarget::~GdbTarget() { shutdown(); }
 void GdbTarget::start() {
   util::require(!started_, "GdbTarget::start called twice");
   started_ = true;
-  if (config_.watchdog && config_.throttled) {
-    watchdog_ = std::make_unique<LivenessWatchdog>("gdb-target", progress_, &budget_);
-  }
   thread_ = std::thread([this] {
     stub_->serve();
-    exited_.store(true, std::memory_order_release);
+    budget_.close();  // the stub is gone (killed, detached or disconnected)
   });
 }
 
@@ -102,8 +81,7 @@ void GdbTarget::shutdown() {
     // serve tick after request_stop below.
   }
   stub_->request_stop();
-  join_with_deadline("gdb-target", thread_, exited_, config_.join_timeout_ms);
-  if (watchdog_) watchdog_->stop();
+  if (thread_.joinable()) thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -129,7 +107,7 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
     fault_state_ = ipc::FaultyChannel::install(data.b, config_.fault_plan);
   }
   if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("drv-data", config_.capture_frames);
+    capture_ = std::make_shared<ipc::WireCapture>("drv-data", kCaptureFrames);
     data.a.attach_capture(capture_);
   }
   if (config_.wire_observer) data.a.attach_observer(config_.wire_observer);
@@ -160,13 +138,10 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
 void DriverTarget::start() {
   util::require(!started_, "DriverTarget::start called twice");
   started_ = true;
-  if (config_.watchdog && config_.throttled) {
-    watchdog_ = std::make_unique<LivenessWatchdog>("driver-target", progress_, &budget_);
-  }
   pump_ = std::make_unique<InterruptPump>(std::move(irq_target_side_), *kernel_);
   thread_ = std::thread([this] {
     run_loop();
-    exited_.store(true, std::memory_order_release);
+    budget_.close();  // never consuming again: release the throttle
   });
 }
 
@@ -176,36 +151,21 @@ void DriverTarget::run_loop() {
     // switches, ISR entry) is charged as cycles by the RTOS model, and must
     // slow the guest down in simulated time — that is the paper's Figure 7
     // effect. Run a slice, then settle its measured cycle cost against the
-    // allowance the SystemC side deposits as simulated time advances.
+    // allowance the SystemC side deposits as simulated time advances. A
+    // closed budget (the session quiesced, or shutdown, which also sets
+    // stop_) settles nothing and lets the guest run on unthrottled.
     const std::uint64_t cycles_before = cpu_->cycles();
-    rtos::RunStatus status = kernel_->run(config_.run_quantum);
+    rtos::RunStatus status = kernel_->run(kRunQuantum);
     last_status_.store(status);
-    progress_.fetch_add(1, std::memory_order_relaxed);
-    if (config_.throttled && !throttle_lost_.load(std::memory_order_relaxed)) {
-      const std::uint64_t cost = cpu_->cycles() - cycles_before;
-      if (cost > 0 && !budget_.pay_for(cost, config_.pay_timeout_ms)) {
-        if (budget_.closed()) {
-          if (status == rtos::RunStatus::Budget) break;  // shutdown
-        } else {
-          // The SystemC side stopped depositing (stalled or quiesced this
-          // port): abandon time correlation rather than deadlock the guest.
-          NISC_WARN("driver-target")
-              << "allowance not settled within " << config_.pay_timeout_ms
-              << " ms: time correlation lost, continuing unthrottled";
-          throttle_lost_.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
+    if (config_.throttled) budget_.pay(cpu_->cycles() - cycles_before);
     switch (status) {
       case rtos::RunStatus::AllDone:
         finished_.store(true);
-        budget_.close();  // never consuming again: release the throttle
         return;
       case rtos::RunStatus::Fault:
         NISC_ERROR("driver-target") << "guest fault: "
                                     << iss::halt_name(kernel_->last_fault());
         finished_.store(true);
-        budget_.close();
         return;
       case rtos::RunStatus::Idle:
         // Every guest thread is blocked in dev_read: the CPU idles, burning
@@ -229,9 +189,8 @@ void DriverTarget::shutdown() {
   shut_down_ = true;
   stop_.store(true);
   budget_.close();
-  join_with_deadline("driver-target", thread_, exited_, config_.join_timeout_ms);
+  if (thread_.joinable()) thread_.join();
   if (pump_) pump_->stop();
-  if (watchdog_) watchdog_->stop();
 }
 
 }  // namespace nisc::cosim

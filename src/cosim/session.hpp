@@ -6,6 +6,9 @@
 // hosts an ISS + GDB stub (for the GDB-Wrapper and GDB-Kernel schemes),
 // DriverTarget hosts an ISS + eCos-like RTOS + device driver (for the
 // Driver-Kernel scheme).
+//
+// The target thread closes its TimeBudget on every exit, so a SystemC side
+// waiting on the reverse throttle is released the moment the ISS side ends.
 #pragma once
 
 #include <atomic>
@@ -16,7 +19,6 @@
 #include "cosim/driver_kernel.hpp"
 #include "cosim/pragma.hpp"
 #include "cosim/time_budget.hpp"
-#include "cosim/watchdog.hpp"
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
 #include "ipc/fault.hpp"
@@ -35,7 +37,6 @@ struct GdbTargetConfig {
   std::size_t mem_size = 1 << 20;
   /// Paper: the GDB-Kernel IPC mechanism is a pipe.
   ipc::Transport transport = ipc::Transport::Pipe;
-  std::uint64_t stub_quantum = 1024;
   /// Meter ISS execution against a TimeBudget fed by the SystemC side.
   bool throttled = true;
   /// Fault-injection plan installed on the stub-side endpoint (empty =
@@ -43,7 +44,6 @@ struct GdbTargetConfig {
   ipc::FaultPlan fault_plan;
   /// Ring-buffer the client-side wire traffic for post-mortems.
   bool capture_wire = true;
-  std::size_t capture_frames = 32;
   /// Live wire tap on the client-side endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
@@ -51,12 +51,6 @@ struct GdbTargetConfig {
   int reply_timeout_ms = 10000;
   /// Hard deadline on every blocking channel send/recv.
   int io_timeout_ms = 30000;
-  /// How long shutdown() waits for the target thread before complaining.
-  int join_timeout_ms = 10000;
-  /// Throttle stall bound: acquire gives up (granting 0) after this long.
-  int stall_timeout_ms = 10000;
-  /// Run a LivenessWatchdog over the target thread (throttled runs only).
-  bool watchdog = false;
 };
 
 class GdbTarget {
@@ -79,8 +73,6 @@ class GdbTarget {
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
   /// Client-side wire capture (null when capture_wire is off).
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
-  /// Liveness monitor (null unless enabled and started).
-  LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }
 
   /// The CPU is owned by the target thread while running; inspect it only
   /// before start() or after shutdown().
@@ -102,9 +94,6 @@ class GdbTarget {
   std::unique_ptr<rsp::GdbClient> client_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::atomic<std::uint64_t> progress_{0};
-  std::unique_ptr<LivenessWatchdog> watchdog_;
-  std::atomic<bool> exited_{false};
   std::thread thread_;
   bool started_ = false;
   bool shut_down_ = false;
@@ -121,13 +110,11 @@ struct DriverTargetConfig {
   /// iss_in port fed by guest dev_write / iss_out port serving dev_read.
   std::string write_port;
   std::string read_port;
-  std::uint64_t run_quantum = 2048;
   bool throttled = true;
   /// Fault-injection plan installed on the driver-side data endpoint.
   ipc::FaultPlan fault_plan;
   /// Ring-buffer the kernel-side data traffic for post-mortems.
   bool capture_wire = true;
-  std::size_t capture_frames = 32;
   /// Live wire tap on the kernel-side data endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
@@ -137,18 +124,14 @@ struct DriverTargetConfig {
   std::shared_ptr<ipc::WireObserver> irq_observer;
   /// Hard deadline on every blocking channel send/recv.
   int io_timeout_ms = 30000;
-  /// Pay-after settlement bound: when the SystemC side stops depositing for
-  /// this long, time correlation is abandoned (the guest keeps running
-  /// unthrottled) instead of deadlocking the target thread.
-  int pay_timeout_ms = 5000;
-  /// How long shutdown() waits for the target thread before complaining.
-  int join_timeout_ms = 10000;
-  /// Run a LivenessWatchdog over the target thread (throttled runs only).
-  bool watchdog = false;
 };
 
 class DriverTarget {
  public:
+  /// Guest instructions the RTOS runs per slice before the target thread
+  /// pays the slice's cycle cost against the budget.
+  static constexpr std::uint64_t kRunQuantum = 2048;
+
   /// Assembles `guest_source` (the RTOS ABI prelude is prepended) and
   /// boots the RTOS with an ScPortDriver as device 0.
   explicit DriverTarget(const std::string& guest_source, DriverTargetConfig config);
@@ -172,10 +155,6 @@ class DriverTarget {
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
   /// Kernel-side data-port wire capture (null when capture_wire is off).
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
-  /// Liveness monitor (null unless enabled and started).
-  LivenessWatchdog* watchdog() noexcept { return watchdog_.get(); }
-  /// True once the target abandoned time correlation (pay deadline blown).
-  bool throttle_lost() const noexcept { return throttle_lost_.load(); }
 
   /// Launches the RTOS scheduling loop and the interrupt listener thread.
   void start();
@@ -201,10 +180,6 @@ class DriverTarget {
   ipc::Channel irq_target_side_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::atomic<std::uint64_t> progress_{0};
-  std::unique_ptr<LivenessWatchdog> watchdog_;
-  std::atomic<bool> exited_{false};
-  std::atomic<bool> throttle_lost_{false};
   std::unique_ptr<InterruptPump> pump_;
   std::thread thread_;
   std::atomic<bool> stop_{false};

@@ -1,9 +1,6 @@
 #include "cosim/time_budget.hpp"
 
 #include <algorithm>
-#include <chrono>
-
-#include "util/deadline.hpp"
 
 namespace nisc::cosim {
 
@@ -20,33 +17,22 @@ void TimeBudget::deposit(std::uint64_t tokens) {
   cv_.notify_all();
 }
 
-std::uint64_t TimeBudget::acquire(std::uint64_t want) { return acquire_for(want, -1); }
+void TimeBudget::advance_to(std::uint64_t now_ps, std::uint64_t instructions_per_us) {
+  // instructions = elapsed_ps * instr_per_us / 1e6, with remainder carry.
+  const std::uint64_t scaled = (now_ps - last_time_ps_) * instructions_per_us + remainder_;
+  last_time_ps_ = now_ps;
+  remainder_ = scaled % 1000000;
+  const std::uint64_t instructions = scaled / 1000000;
+  if (instructions > 0) deposit(instructions);
+}
 
-std::uint64_t TimeBudget::acquire_for(std::uint64_t want, int timeout_ms) {
-  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
+std::uint64_t TimeBudget::acquire(std::uint64_t want) {
   std::unique_lock lock(mutex_);
-  for (;;) {
-    if (tokens_ > 0) break;
-    if (closed_) return 0;
-    const int remaining = deadline.remaining_ms();
-    if (remaining < 0) {
-      cv_.wait(lock);
-    } else {
-      if (remaining == 0) return 0;  // timed out (caller checks closed())
-      cv_.wait_for(lock, std::chrono::milliseconds(remaining));
-    }
-  }
+  cv_.wait(lock, [&] { return tokens_ > 0 || closed_; });
+  if (tokens_ == 0) return 0;  // closed
   std::uint64_t granted = std::min(want, tokens_);
   tokens_ -= granted;
   drained_.notify_all();
-  return granted;
-}
-
-std::uint64_t TimeBudget::try_acquire(std::uint64_t want) {
-  std::lock_guard lock(mutex_);
-  std::uint64_t granted = std::min(want, tokens_);
-  tokens_ -= granted;
-  if (granted > 0) drained_.notify_all();
   return granted;
 }
 
@@ -59,20 +45,10 @@ bool TimeBudget::pay(std::uint64_t amount) {
   return true;
 }
 
-bool TimeBudget::pay_for(std::uint64_t amount, int timeout_ms) {
-  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
-  while (amount > 0) {
-    std::uint64_t got = acquire_for(amount, deadline.remaining_ms());
-    if (got == 0) return false;  // closed or deadline hit; remainder forgiven
-    amount -= got;
-  }
-  return true;
-}
-
-bool TimeBudget::wait_below(std::uint64_t level, int timeout_ms) {
+void TimeBudget::wait_below_lead() {
   std::unique_lock lock(mutex_);
-  return drained_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                           [&] { return tokens_ < level || closed_ || idle_; });
+  if (tokens_ <= kMaxLead) return;
+  drained_.wait(lock, [&] { return tokens_ < kMaxLead || closed_ || idle_; });
 }
 
 void TimeBudget::set_idle(bool idle) {
@@ -90,16 +66,12 @@ void TimeBudget::close() {
     closed_ = true;
   }
   cv_.notify_all();
+  drained_.notify_all();
 }
 
 bool TimeBudget::closed() const {
   std::lock_guard lock(mutex_);
   return closed_;
-}
-
-bool TimeBudget::idle() const {
-  std::lock_guard lock(mutex_);
-  return idle_;
 }
 
 std::uint64_t TimeBudget::available() const {

@@ -1,10 +1,15 @@
 // TimeBudget: correlates ISS execution with SystemC simulated time.
 //
-// The SystemC kernel deposits an instruction allowance every clock cycle
-// (modeling the CPU's nominal frequency); the target thread running the ISS
-// withdraws before executing. The deposit path never blocks; the withdraw
-// path blocks until tokens are available, which is what keeps the two
-// simulators loosely synchronized in the paper's free-running schemes.
+// The SystemC kernel deposits an instruction allowance as simulated time
+// advances (modeling the CPU's nominal frequency); the target thread running
+// the ISS withdraws before executing. The deposit path never blocks; the
+// withdraw path blocks until tokens are available, which is what keeps the
+// two simulators loosely synchronized in the paper's free-running schemes.
+//
+// No wait here takes a timeout: every wait ends on an event — a deposit, a
+// consumption, the consumer going idle, or close(). Whoever ends a session
+// (the target thread on exit, a kernel extension on a transport failure)
+// closes the budget, which releases both sides for good.
 #pragma once
 
 #include <condition_variable>
@@ -15,6 +20,12 @@ namespace nisc::cosim {
 
 class TimeBudget {
  public:
+  /// Reverse-throttle lead: simulated time holds while more than this many
+  /// granted-but-unexecuted instructions are outstanding, so a
+  /// host-scheduling hiccup on the ISS thread cannot masquerade as a slow
+  /// simulated CPU.
+  static constexpr std::uint64_t kMaxLead = 8192;
+
   /// `cap` bounds accumulation so a stalled ISS cannot bank unbounded credit
   /// and later sprint arbitrarily far ahead of hardware time.
   explicit TimeBudget(std::uint64_t cap = 1 << 20) : cap_(cap) {}
@@ -22,47 +33,38 @@ class TimeBudget {
   /// Adds `tokens` instructions of allowance (kernel thread, non-blocking).
   void deposit(std::uint64_t tokens);
 
+  /// Deposits the allowance for the simulated time elapsed since the
+  /// previous call, at `instructions_per_us` (kernel thread, non-blocking).
+  /// Fractional instructions carry over to the next call.
+  void advance_to(std::uint64_t now_ps, std::uint64_t instructions_per_us);
+
   /// Withdraws up to `want` instructions, blocking until at least one token
   /// is available or the budget is closed. Returns the granted amount
   /// (0 only when closed).
   std::uint64_t acquire(std::uint64_t want);
-
-  /// Bounded variant: additionally gives up after `timeout_ms` (< 0 waits
-  /// forever). Returns 0 on timeout or close — distinguish via closed().
-  std::uint64_t acquire_for(std::uint64_t want, int timeout_ms);
-
-  /// Non-blocking variant; returns 0 when no tokens are available.
-  std::uint64_t try_acquire(std::uint64_t want);
 
   /// Blocks until `amount` tokens have been consumed (pay-after accounting:
   /// the ISS runs a slice first, then pays its measured cycle cost).
   /// Returns false when the budget was closed before the debt was settled.
   bool pay(std::uint64_t amount);
 
-  /// Bounded variant of pay(): gives up after `timeout_ms` total (< 0 waits
-  /// forever). Returns false on timeout or close — distinguish via
-  /// closed(); on timeout the unsettled remainder is forgiven (the caller
-  /// degrades to unthrottled execution rather than deadlock).
-  bool pay_for(std::uint64_t amount, int timeout_ms);
-
-  /// Blocks until fewer than `level` tokens remain unconsumed, the budget
-  /// is closed, or `timeout_ms` elapses. Returns true when the level was
-  /// reached. This is the *reverse* throttle: the SystemC side calls it so
-  /// simulated time cannot race arbitrarily ahead of an ISS that has not
-  /// caught up with its allowance.
-  bool wait_below(std::uint64_t level, int timeout_ms);
+  /// The *reverse* throttle, called by the SystemC side once per cycle: while
+  /// more than kMaxLead tokens remain unconsumed, blocks until fewer remain,
+  /// the consumer goes idle, or the budget is closed. Simulated time thus
+  /// cannot race arbitrarily ahead of an ISS that has not caught up with its
+  /// allowance.
+  void wait_below_lead();
 
   /// Marks the consumer as idle: an idle CPU burns its allowance doing
-  /// nothing, so deposits are discarded (and wait_below passes) until the
-  /// consumer wakes. Set by the target loop around blocking-idle waits.
+  /// nothing, so deposits are discarded (and wait_below_lead passes) until
+  /// the consumer wakes. Set by the target loop around blocking-idle waits.
   void set_idle(bool idle);
 
-  /// Unblocks all waiters permanently (teardown, or the guest exited and
-  /// will never consume again).
+  /// Unblocks all waiters on both sides permanently (teardown, a failed
+  /// session, or the guest exited and will never consume again).
   void close();
 
   bool closed() const;
-  bool idle() const;
   std::uint64_t available() const;
 
  private:
@@ -73,6 +75,10 @@ class TimeBudget {
   std::uint64_t cap_;
   bool closed_ = false;
   bool idle_ = false;
+
+  // advance_to() bookkeeping; touched only by the depositing kernel thread.
+  std::uint64_t last_time_ps_ = 0;
+  std::uint64_t remainder_ = 0;
 };
 
 }  // namespace nisc::cosim

@@ -50,7 +50,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         tc.fault_plan = config_.fault_plan;
         tc.reply_timeout_ms = config_.reply_timeout_ms;
         tc.io_timeout_ms = config_.io_timeout_ms;
-        tc.watchdog = config_.watchdog;
         tc.wire_observer = config_.wire_observer;
         auto target = std::make_unique<cosim::GdbTarget>(
             word_stream_checksum_source(router_->to_cpu_port_name(cpu),
@@ -95,8 +94,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         dc.rtos = config_.rtos;
         dc.fault_plan = config_.fault_plan;
         dc.io_timeout_ms = config_.io_timeout_ms;
-        dc.pay_timeout_ms = config_.pay_timeout_ms;
-        dc.watchdog = config_.watchdog;
         dc.wire_observer = config_.wire_observer;
         dc.irq_observer = config_.irq_observer;
         dc.write_port = router_->from_cpu_port_name(cpu);
@@ -173,7 +170,7 @@ bool Testbench::degraded() const {
     if (ext->quiesced()) return true;
   }
   for (const auto& target : driver_targets_) {
-    if (target->throttle_lost() || target->driver().degraded()) return true;
+    if (target->driver().degraded()) return true;
   }
   return false;
 }

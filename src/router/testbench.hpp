@@ -61,8 +61,6 @@ struct TestbenchConfig {
   /// settles quickly.
   int reply_timeout_ms = 10000;
   int io_timeout_ms = 30000;
-  int pay_timeout_ms = 5000;
-  bool watchdog = false;
 };
 
 struct TestbenchReport {
@@ -115,8 +113,7 @@ class Testbench {
   std::optional<cosim::CosimError> cosim_error() const;
 
   /// True when any session degraded without a hard failure: a Driver-Kernel
-  /// port quiesced, a device driver stopped exchanging data, or a target
-  /// abandoned time correlation.
+  /// port quiesced or a device driver stopped exchanging data.
   bool degraded() const;
 
   /// Total transport faults injected across all sessions (0 when

@@ -29,11 +29,12 @@ TEST(TimeBudgetTest, DepositThenAcquire) {
   EXPECT_EQ(budget.acquire(60), 40u);  // partial grant
 }
 
-TEST(TimeBudgetTest, TryAcquireNonBlocking) {
+TEST(TimeBudgetTest, AdvanceToCarriesFractionalInstructions) {
   TimeBudget budget;
-  EXPECT_EQ(budget.try_acquire(10), 0u);
-  budget.deposit(5);
-  EXPECT_EQ(budget.try_acquire(10), 5u);
+  budget.advance_to(500000, 3);  // 1.5 instructions: 1 now, 0.5 carried
+  EXPECT_EQ(budget.available(), 1u);
+  budget.advance_to(1000000, 3);  // 1.5 + 0.5
+  EXPECT_EQ(budget.available(), 3u);
 }
 
 TEST(TimeBudgetTest, CapBoundsAccumulation) {
@@ -61,6 +62,25 @@ TEST(TimeBudgetTest, AcquireBlocksUntilDeposit) {
   budget.deposit(3);
   waiter.join();
   EXPECT_EQ(got, 3u);
+}
+
+TEST(TimeBudgetTest, ReverseThrottleEndsOnConsumption) {
+  TimeBudget budget;
+  budget.deposit(2 * TimeBudget::kMaxLead);  // the ISS is far behind
+  std::thread kernel([&] { budget.wait_below_lead(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(budget.acquire(TimeBudget::kMaxLead + 1), TimeBudget::kMaxLead + 1);
+  kernel.join();
+}
+
+TEST(TimeBudgetTest, CloseReleasesReverseThrottle) {
+  TimeBudget budget;
+  budget.deposit(2 * TimeBudget::kMaxLead);
+  std::thread kernel([&] { budget.wait_below_lead(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  budget.close();  // nothing consumed: only the close can release the kernel
+  kernel.join();
+  EXPECT_EQ(budget.available(), 2 * TimeBudget::kMaxLead);
 }
 
 // ---------------------------------------------------------------- pragma filter
@@ -495,6 +515,44 @@ TEST_F(DriverFixture, GuestFaultEndsSession) {
   run_until_finished();
   EXPECT_TRUE(target->finished());
   EXPECT_EQ(target->last_status(), rtos::RunStatus::Fault);
+}
+
+/// Cycles a spinning Driver-Kernel guest retires when the kernel runs
+/// `windows` back-to-back windows of `window` each, once the ISS spent its
+/// allowance.
+std::uint64_t spin_cycles(int windows, sysc::sc_time window) {
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  DriverTargetConfig config;
+  config.write_port = "a";
+  config.read_port = "b";
+  DriverTarget target("_start:\nspin:\n  j spin\n", config);
+  DriverKernelOptions options;
+  options.instructions_per_us = 10000;
+  DriverKernelExtension ext(target.take_data_endpoint(), target.take_interrupt_endpoint(),
+                            &target.budget(), options);
+  ctx.register_extension(&ext);
+  target.start();
+  for (int i = 0; i < windows; ++i) ctx.run(window);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (target.budget().available() > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  target.shutdown();
+  ctx.unregister_extension(&ext);
+  return target.cpu().cycles();
+}
+
+TEST(DriverTargetTest, AllowanceDoesNotDependOnRunSlicing) {
+  // The guest's simulated speed is a function of simulated time only: how
+  // the caller slices run() must not grant extra instructions. The slack is
+  // one slice (still unpaid when the allowance runs out) plus the lead.
+  const std::uint64_t whole = spin_cycles(1, 100_us);
+  const std::uint64_t split = spin_cycles(10, 10_us);
+  const std::uint64_t slack = DriverTarget::kRunQuantum + TimeBudget::kMaxLead;
+  EXPECT_GE(whole, 99u * 10000u);  // the guest ran at its nominal speed
+  EXPECT_LE(split, whole + slack);
+  EXPECT_LE(whole, split + slack);
 }
 
 TEST(DriverTargetTest, EndpointsCanOnlyBeTakenOnce) {

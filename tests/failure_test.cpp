@@ -3,14 +3,12 @@
 // the co-simulation.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "cosim/driver_kernel.hpp"
 #include "cosim/gdb_kernel.hpp"
 #include "cosim/session.hpp"
-#include "cosim/watchdog.hpp"
 #include "ipc/fault.hpp"
 #include "ipc/message.hpp"
 #include "iss/assembler.hpp"
@@ -163,6 +161,67 @@ TEST_F(DriverFailureFixture, DriverDisappearingMidRunIsTolerated) {
   EXPECT_GT(ctx->time_stamp().ps(), 0u);
 }
 
+/// Guest: two device writes, then 200k cycles of work with no device I/O.
+constexpr const char* kWriteThenComputeGuest = R"(
+_start:
+    li a0, 0
+    la a1, buf
+    li a2, 4
+    li a7, SYS_DEV_WRITE
+    ecall
+    li a0, 0
+    la a1, buf
+    li a2, 4
+    li a7, SYS_DEV_WRITE
+    ecall
+    li t0, 100000
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, SYS_EXIT
+    ecall
+buf: .word 7
+)";
+
+TEST(DriverTargetFailure, QuiesceReleasesGuestBlockedInPay) {
+  // The guest's first device write is cut mid-frame and its socket closed:
+  // the kernel extension quiesces the port, which ends time correlation.
+  // The guest has far more work left than the allowance granted so far, so
+  // it only finishes, with no further simulated time, because the quiesce
+  // closed its budget.
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  sysc::iss_in<std::uint32_t> port_in("dev.in");
+  sysc::iss_out<std::uint32_t> port_out("dev.out");
+  cosim::DriverTargetConfig config;
+  config.write_port = "dev.in";
+  config.read_port = "dev.out";
+  config.fault_plan.disconnect_send(1, 2);
+  cosim::DriverTarget target(kWriteThenComputeGuest, config);
+  cosim::DriverKernelOptions options;
+  options.instructions_per_us = 1000;
+  cosim::DriverKernelExtension ext(target.take_data_endpoint(), target.take_interrupt_endpoint(),
+                                   &target.budget(), options);
+  ctx.register_extension(&ext);
+  target.start();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!ext.quiesced() && std::chrono::steady_clock::now() < deadline) ctx.run(1_us);
+  ASSERT_TRUE(ext.quiesced());
+  EXPECT_TRUE(target.budget().closed());
+
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!target.finished() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(target.finished());
+  EXPECT_EQ(target.last_status(), rtos::RunStatus::AllDone);
+  // What Testbench::degraded() reads for this session: the quiesced port
+  // and the driver that lost its socket (the second write failed).
+  EXPECT_TRUE(target.driver().degraded());
+  target.shutdown();
+  ctx.unregister_extension(&ext);
+}
+
 TEST(DriverTargetFailure, GuestFaultShutsDownCleanly) {
   cosim::DriverTargetConfig config;
   config.write_port = "a";
@@ -216,6 +275,21 @@ TEST(GdbSessionFailure, ShutdownWhileGuestSpinsForever) {
   ctx.unregister_extension(&ext);
 }
 
+TEST(GdbSessionFailure, StubExitOnDisconnectClosesBudget) {
+  // The SystemC-side end of the wire disappears: serve() returns on EOF, and
+  // the target thread closes the budget on its way out, so a SystemC side
+  // held by the reverse throttle would be released at once.
+  cosim::GdbTarget target("_start:\n  ebreak\n");
+  target.start();
+  target.client().channel().close();
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!target.budget().closed() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(target.budget().closed());
+  target.shutdown();
+}
+
 TEST(GdbSessionFailure, DoubleShutdownIsIdempotent) {
   cosim::GdbTarget target("_start:\n  ebreak\n");
   target.start();
@@ -251,56 +325,6 @@ TEST(GdbSessionFailure, MidFrameDisconnectYieldsStructuredError) {
   EXPECT_FALSE(ext.error()->post_mortem.empty());
   target.shutdown();
   ctx.unregister_extension(&ext);
-}
-
-// ---------------------------------------------------------------- Watchdog
-
-TEST(WatchdogFailure, TripsAndBlamesTheIssWhenAllowanceGoesUnconsumed) {
-  cosim::TimeBudget budget;
-  budget.deposit(1000);  // allowance present, consumer never moves
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("stall-test", progress, &budget, config);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!dog.tripped() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_TRUE(dog.tripped());
-  EXPECT_NE(dog.report().find("ISS/target side is blocked"), std::string::npos);
-  dog.stop();
-}
-
-TEST(WatchdogFailure, StaysQuietWhileProgressFlows) {
-  cosim::TimeBudget budget;
-  budget.deposit(1000);
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("live-test", progress, &budget, config);
-  for (int i = 0; i < 20; ++i) {
-    progress.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_FALSE(dog.tripped());
-  dog.stop();
-}
-
-TEST(WatchdogFailure, IdleConsumerIsNotAStall) {
-  // Halted at a breakpoint (consumer idle): silence is expected, no trip.
-  cosim::TimeBudget budget;
-  budget.deposit(1000);
-  budget.set_idle(true);
-  std::atomic<std::uint64_t> progress{0};
-  cosim::WatchdogConfig config;
-  config.check_interval_ms = 10;
-  config.stall_threshold_ms = 40;
-  cosim::LivenessWatchdog dog("idle-test", progress, &budget, config);
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  EXPECT_FALSE(dog.tripped());
-  dog.stop();
 }
 
 }  // namespace

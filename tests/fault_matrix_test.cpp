@@ -6,9 +6,9 @@
 //   Recovered        all produced traffic was delivered despite the fault
 //                    (protocol-level recovery: RSP NAK/resend, reassembly)
 //   Degraded         the run completed but lost capability or traffic: a
-//                    Driver-Kernel port quiesced, a driver went dark, time
-//                    correlation was abandoned, or packets were lost while
-//                    the simulation itself stayed healthy
+//                    Driver-Kernel port quiesced, a driver went dark, or
+//                    packets were lost while the simulation itself stayed
+//                    healthy
 //   StructuredError  the scheme ended the run with a CosimError carrying a
 //                    non-empty wire post-mortem
 //
@@ -102,7 +102,6 @@ TestbenchConfig cell_config(Scheme scheme, ipc::Transport transport) {
   // production 10 s / 30 s defaults.
   config.reply_timeout_ms = 500;
   config.io_timeout_ms = 1000;
-  config.pay_timeout_ms = 300;
   if (scheme == Scheme::GdbWrapper) {
     // The wrapper pays one blocking RSP round trip per clock edge; a slow
     // clock keeps the cycle count (and the wall clock) bounded when a fault
@@ -163,7 +162,7 @@ TEST_P(FaultMatrix, CellSettlesWithDocumentedOutcome) {
   bench.run_until_drained(drain_limit(scheme));
   TestbenchReport report = bench.report();
 
-  // Classify. A quiesced port / dark driver / lost throttle is degradation
+  // Classify. A quiesced port / dark driver is degradation
   // even though it latches a CosimError post-mortem: the simulation itself
   // kept running. Only a run the scheme had to end counts as a structured
   // error.
