@@ -53,9 +53,9 @@ int main() {
   // Software side: guest program (assembly) + driver stack for Driver-Kernel.
   int gdb_sw = util::count_loc(router::word_stream_checksum_source("r.to_cpu", "r.from_cpu")).code;
   int drv_guest = util::count_loc(router::bulk_checksum_source()).code;
-  // The Driver-Kernel software stack: the device driver + interrupt pump
-  // (in driver_kernel.cpp, already counted SystemC-side — count the
-  // ISS-side share: ScPortDriver+InterruptPump ~ half of that file) plus
+  // The Driver-Kernel software stack: the device driver (in
+  // driver_kernel.cpp, already counted SystemC-side — count the ISS-side
+  // share: ScPortDriver ~ half of that file) plus
   // the RTOS driver framework the designer must target.
   int rtos_driver_api = first_existing(repo("rtos/rtos.cpp"), up("rtos/rtos.cpp"));
   int drv_sw = drv_guest + rtos_driver_api / 4;  // driver-facing quarter of the RTOS

@@ -85,16 +85,13 @@ out_var: .word 0
   proc.dont_initialize();
   to_cpu.write(0);
 
-  GdbTargetConfig tc;
-  tc.throttled = false;
-  GdbTarget target(guest, tc);
+  GdbTarget target(guest);
   GdbWrapperOptions options;
   options.instructions_per_cycle = 8;
   options.mode = mode;
   auto& wrapper = ctx.create<GdbWrapperModule>("wrapper", target.client(), target.bindings(),
                                                options);
   wrapper.clk.bind(clk.signal());
-  target.start();
 
   auto start = std::chrono::steady_clock::now();
   auto deadline = start + std::chrono::seconds(60);

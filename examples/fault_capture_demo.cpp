@@ -33,14 +33,12 @@ int main(int argc, char** argv) {
   config.fault_plan.disconnect_send(/*nth=*/1, /*keep_bytes=*/2);
   config.reply_timeout_ms = 500;
   config.io_timeout_ms = 1000;
-  config.throttled = false;
   cosim::GdbTarget target("_start:\n  ebreak\n", config);
 
   cosim::GdbKernelOptions options;
   options.instructions_per_us = 1000000;
-  cosim::GdbKernelExtension ext(target.client(), nullptr, {}, options);
+  cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  target.start();
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (!ext.error() && !ext.target_finished() &&

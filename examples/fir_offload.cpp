@@ -86,7 +86,6 @@ int main() {
   options.instructions_per_us = 1000000;
   cosim::GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
-  target.start();
 
   while (outputs.size() < kSamples) ctx.run(1_us);
 

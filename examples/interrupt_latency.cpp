@@ -96,7 +96,6 @@ int main() {
                                    target.take_interrupt_endpoint(), &target.budget(), options);
   ctx.register_extension(&ext);
   auto& timer = ctx.create<TimerDevice>("timer", ext, 5_us);
-  target.start();
 
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (!target.finished() && std::chrono::steady_clock::now() < deadline) {

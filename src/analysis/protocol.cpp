@@ -546,8 +546,8 @@ ProtocolModel make_worker(const ModelOptions& o) {
 }
 
 /// The Driver-Kernel irq socket (ROADMAP's "unmonitored epsilon channel"):
-/// delivery plus the ISR-acknowledge cycle. Endpoint A is the InterruptPump
-/// (the tapped receiving end — attach the live monitor with
+/// delivery plus the ISR-acknowledge cycle. Endpoint A is the DriverTarget's
+/// irq listener (the tapped receiving end — attach the live monitor with
 /// flip_direction=true when the tap sits on the raising side), endpoint B
 /// the kernel extension raising interrupts. By default the symbol table
 /// matches the Driver-Kernel wire format so the decoder's MsgType cast
@@ -585,7 +585,7 @@ ProtocolModel make_driver_irq(const ModelOptions& o) {
   pump.recv(idle, irq_sym, /*channel=*/0, isr);
   pump.internal(isr, idle, "ack");  // kernel_.raise_irq completed
   if (o.recovery) {
-    // A decode error makes the pump thread exit; its wire is then dead.
+    // A decode error ends the irq listener; its wire is then dead.
     const int dead = pump.add_state("PumpDead", /*accepting=*/true, /*closed=*/true);
     pump.recv(idle, garbage_sym, /*channel=*/0, dead, /*recovery=*/true);
     pump.recv(isr, garbage_sym, /*channel=*/0, dead, /*recovery=*/true);

@@ -19,7 +19,7 @@
 //   worker         Supervisor <-> cosim_issworker recovery wire (Hello,
 //                  Start/Resume replay, DevWrite/WriteAck + DevRead/ReadReply
 //                  with irq high-water drain, Ckpt, seq-0 side-band)
-//   driver-irq     DriverKernelExtension -> InterruptPump delivery +
+//   driver-irq     DriverKernelExtension -> DriverTarget irq delivery +
 //                  ISR-acknowledge cycle on the otherwise-epsilon irq socket
 // Endpoint A is the side the capture layer taps (SystemC kernel / client /
 // supervisor; for driver-irq, the pump end that receives deliveries);
@@ -336,7 +336,7 @@ class ConformanceMonitor {
 class LiveConformanceMonitor final : public ipc::WireObserver {
  public:
   /// `flip_direction`: the observer sits on endpoint B's channel end (e.g.
-  /// the InterruptPump side), so the tap's Rx is an A-side send and vice
+  /// the raising side of an irq socket), so the tap's Rx is an A-side send and vice
   /// versa; flip before feeding the monitor.
   LiveConformanceMonitor(ProtocolModel model, std::string origin, bool flip_direction = false);
 

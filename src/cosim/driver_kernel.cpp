@@ -35,8 +35,7 @@ void DriverKernelExtension::quiesce(const std::string& reason) {
   interrupts_.close();
   backlog_.clear();
   pending_interrupts_.clear();
-  // Time correlation ends with the session: a guest blocked paying for its
-  // last slice resumes at once instead of waiting on deposits.
+  // Time correlation ends with the session, and with it the guest's steps.
   if (budget_ != nullptr) budget_->close();
 }
 
@@ -162,10 +161,6 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
       }
     }
   }
-  // Reverse throttle: hold simulated time while the guest lags far behind
-  // its instruction allowance (idle guests drain instantly in DriverTarget,
-  // so this only bites when the ISS thread is genuinely behind).
-  if (budget_ != nullptr) budget_->wait_below_lead();
   // Paper Fig. 5: "interrupt generated?" at the end of the cycle.
   while (!pending_interrupts_.empty()) {
     std::uint32_t irq = pending_interrupts_.front();
@@ -185,11 +180,12 @@ void DriverKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc
 }
 
 bool DriverKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
-  // Give the ISS slack and wait briefly for driver traffic.
+  // Give the ISS a microsecond of slack (the deposit runs it at once) and
+  // take whatever driver traffic that produced.
   if (budget_ != nullptr) budget_->deposit(options_.instructions_per_us);
   if (quiesced_) return false;
   try {
-    if (!data_.readable(10)) return false;
+    if (!data_.readable(0)) return false;
   } catch (const util::RuntimeError& e) {
     quiesce(std::string("data port poll failed: ") + e.what());
     return false;
@@ -219,10 +215,9 @@ ScPortDriver::ScPortDriver(ipc::Channel data, std::string write_port, std::strin
       read_port_(std::move(read_port)) {}
 
 void ScPortDriver::mark_degraded(const char* what) {
-  if (!degraded_.exchange(true, std::memory_order_relaxed)) {
-    NISC_WARN("scdev") << "driver degraded (" << what
-                       << "): device writes are now swallowed";
-  }
+  if (degraded_) return;
+  degraded_ = true;
+  NISC_WARN("scdev") << "driver degraded (" << what << "): device writes are now swallowed";
 }
 
 std::size_t ScPortDriver::write(std::span<const std::uint8_t> data) {
@@ -266,48 +261,13 @@ std::size_t ScPortDriver::read(std::span<std::uint8_t> out) {
   return n;
 }
 
-bool ScPortDriver::wait_incoming(int timeout_ms) {
-  if (!rx_.empty()) return true;
-  if (degraded()) return false;
+bool ScPortDriver::has_unread() {
+  if (degraded() || !data_.valid()) return false;
   try {
-    return data_.readable(timeout_ms);
+    return ipc::poll_readable(data_.read_fd(), 0);
   } catch (const util::RuntimeError&) {
     mark_degraded("poll failed");
     return false;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// InterruptPump
-
-InterruptPump::InterruptPump(ipc::Channel channel, rtos::Kernel& kernel)
-    : channel_(std::move(channel)), kernel_(kernel) {
-  thread_ = std::thread([this] { run(); });
-}
-
-InterruptPump::~InterruptPump() { stop(); }
-
-void InterruptPump::stop() {
-  stop_.store(true);
-  if (thread_.joinable()) thread_.join();
-  channel_.close();
-}
-
-void InterruptPump::run() {
-  try {
-    while (!stop_.load()) {
-      if (!channel_.readable(20)) continue;  // bounded poll: clean shutdown
-      ipc::DriverMessage msg = ipc::recv_message(channel_);
-      if (auto irq = msg.irq()) {
-        kernel_.raise_irq(*irq);
-        delivered_.fetch_add(1);
-        // ISR-acknowledge edge of the DriverIrq automaton: a live monitor on
-        // this channel returns from Isr to Idle on the event.
-        channel_.notify_observer("ack");
-      }
-    }
-  } catch (const util::RuntimeError&) {
-    // Channel closed: normal shutdown.
   }
 }
 

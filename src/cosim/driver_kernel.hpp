@@ -11,15 +11,13 @@
 //
 // ISS side: ScPortDriver is the device driver embedded in the RTOS. Guest
 // code calls the driver API (SYS_DEV_WRITE / SYS_DEV_READ); the driver
-// exchanges the §4.2 message format with this extension. A host listener
-// thread turns interrupt messages into rtos ISR dispatches.
+// exchanges the §4.2 message format with this extension. The hosting
+// DriverTarget turns interrupt messages into rtos ISR dispatches.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "cosim/error.hpp"
@@ -92,7 +90,7 @@ class DriverKernelExtension : public sysc::kernel_extension {
   void handle_message(sysc::sc_simcontext& ctx, const ipc::DriverMessage& msg);
 
   /// Shuts the data/interrupt ports down after a transport failure, closes
-  /// the budget (the guest runs on unthrottled) and latches a CosimError;
+  /// the budget (which ends the guest's stepping) and latches a CosimError;
   /// idempotent.
   void quiesce(const std::string& reason);
 
@@ -125,13 +123,14 @@ class ScPortDriver : public rtos::Driver {
   std::size_t write(std::span<const std::uint8_t> data) override;
   std::size_t read(std::span<std::uint8_t> out) override;
 
-  /// Blocks up to `timeout_ms` for data on the channel (used by the target
-  /// loop while every guest thread is blocked in dev_read).
-  bool wait_incoming(int timeout_ms);
+  /// True while bytes the kernel sent sit unread on the data channel. Polls
+  /// the descriptor itself, past any fault plan: a suppressed poll must not
+  /// hide data from the target that re-steps an idle guest.
+  bool has_unread();
 
   /// True once the data channel died: writes are swallowed (returning 0 to
   /// the guest) and reads only drain what already arrived.
-  bool degraded() const noexcept { return degraded_.load(std::memory_order_relaxed); }
+  bool degraded() const noexcept { return degraded_; }
 
   std::uint64_t frames_sent() const noexcept { return frames_sent_; }
   std::uint64_t frames_received() const noexcept { return frames_received_; }
@@ -144,34 +143,9 @@ class ScPortDriver : public rtos::Driver {
   std::string write_port_;
   std::string read_port_;
   std::deque<std::uint8_t> rx_;
-  std::atomic<bool> degraded_{false};
+  bool degraded_ = false;
   std::uint64_t frames_sent_ = 0;
   std::uint64_t frames_received_ = 0;
-};
-
-/// Host thread pumping the interrupt socket into rtos ISR dispatches — the
-/// paper's "thread that listens to the interrupts generated from the
-/// SystemC device" (§4.1).
-class InterruptPump {
- public:
-  InterruptPump(ipc::Channel channel, rtos::Kernel& kernel);
-  ~InterruptPump();
-
-  InterruptPump(const InterruptPump&) = delete;
-  InterruptPump& operator=(const InterruptPump&) = delete;
-
-  void stop();
-
-  std::uint64_t delivered() const noexcept { return delivered_.load(); }
-
- private:
-  void run();
-
-  ipc::Channel channel_;
-  rtos::Kernel& kernel_;
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
 };
 
 }  // namespace nisc::cosim

@@ -84,14 +84,6 @@ void GdbKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   }
 }
 
-void GdbKernelExtension::on_cycle_end(sysc::sc_simcontext&) {
-  // Reverse throttle: after this cycle's servicing, hold simulated time
-  // while the ISS is running but far behind on its instruction allowance.
-  if (finished_ || budget_ == nullptr) return;
-  if (!client_.running() || deferred_stop_) return;  // not draining by design
-  budget_->wait_below_lead();
-}
-
 bool GdbKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
   if (finished_) return false;
   try {
@@ -104,10 +96,10 @@ bool GdbKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
       return true;
     }
     if (!client_.running()) return false;
-    // Nothing else can make progress: grant the ISS some slack and wait
-    // briefly for it to produce an event.
+    // Nothing else can make progress: grant the ISS a microsecond of slack
+    // (the deposit runs it at once) and take the stop it reached, if any.
     if (budget_ != nullptr) budget_->deposit(options_.instructions_per_us);
-    auto stop = client_.wait_stop(10);
+    auto stop = client_.poll_stop();
     if (!stop) return false;
     if (!service_stop(ctx, *stop)) deferred_stop_ = *stop;
     return true;

@@ -46,14 +46,13 @@ struct GdbKernelStats {
 class GdbKernelExtension : public sysc::kernel_extension {
  public:
   /// `client` talks to the stub of the ISS; `budget` (may be null) is
-  /// deposited as simulated time advances; `bindings` come from the pragma
-  /// filter (resolve_bindings).
+  /// deposited as simulated time advances, which steps the ISS; `bindings`
+  /// come from the pragma filter (resolve_bindings).
   GdbKernelExtension(rsp::GdbClient& client, TimeBudget* budget,
                      std::vector<BreakpointBinding> bindings, GdbKernelOptions options = {});
 
   void on_elaboration(sysc::sc_simcontext& ctx) override;
   void on_cycle_begin(sysc::sc_simcontext& ctx) override;
-  void on_cycle_end(sysc::sc_simcontext& ctx) override;
   void on_time_advance(sysc::sc_simcontext& ctx, const sysc::sc_time& now) override;
   bool on_starvation(sysc::sc_simcontext& ctx) override;
   void on_run_end(sysc::sc_simcontext& ctx) override;

@@ -1,8 +1,5 @@
 #include "cosim/session.hpp"
 
-#include <chrono>
-#include <thread>
-
 #include "iss/assembler.hpp"
 #include "util/log.hpp"
 
@@ -41,15 +38,17 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
     pair.b.attach_capture(capture_);
   }
   if (config_.wire_observer) pair.b.attach_observer(config_.wire_observer);
+  pair.b.set_inline_peer([this] {
+    unread_ = true;
+    step();
+  });
   rsp::StubOptions stub_options;
   stub_options.quantum = kStubQuantum;
-  if (config_.throttled) {
-    stub_options.acquire_quantum = [this](std::uint64_t want) { return budget_.acquire(want); };
-    // A halted CPU does not consume simulated time: park its allowance so
-    // the reverse throttle never mistakes a breakpoint stop for a slow CPU.
-    stub_options.on_run_state = [this](bool running) { budget_.set_idle(!running); };
-    budget_.set_idle(true);  // the stub starts halted
-  }
+  stub_options.acquire_quantum = [this](std::uint64_t want) { return budget_.acquire(want); };
+  // A halted CPU does not consume simulated time: its allowance burns off.
+  stub_options.on_run_state = [this](bool running) { budget_.set_idle(!running); };
+  budget_.set_idle(true);  // the stub starts halted
+  budget_.set_consumer([this] { step(); });
   stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(pair.a), std::move(stub_options));
   client_ = std::make_unique<rsp::GdbClient>(std::move(pair.b),
                                              rsp::ClientOptions{config_.reply_timeout_ms});
@@ -57,19 +56,20 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
 
 GdbTarget::~GdbTarget() { shutdown(); }
 
-void GdbTarget::start() {
-  util::require(!started_, "GdbTarget::start called twice");
-  started_ = true;
-  thread_ = std::thread([this] {
-    stub_->serve();
-    budget_.close();  // the stub is gone (killed, detached or disconnected)
-  });
+void GdbTarget::step() {
+  if (!unread_ && !stub_->running()) return;
+  // A suppressed or short read can leave part of a request behind: keep
+  // stepping at each deposit until a step that finds no work also finds the
+  // wire drained.
+  if (!stub_->poll() && unread_) unread_ = stub_->input_pending();
+  if (stub_->done()) budget_.close();  // killed, detached or disconnected
 }
 
 void GdbTarget::shutdown() {
-  if (!started_ || shut_down_) return;
+  if (shut_down_) return;
   shut_down_ = true;
   budget_.close();
+  if (stub_->done()) return;
   try {
     if (client_->running()) {
       client_->interrupt();
@@ -77,11 +77,8 @@ void GdbTarget::shutdown() {
     }
     client_->kill();
   } catch (const util::RuntimeError&) {
-    // Transport already gone; the stub also exits on EOF or its bounded
-    // serve tick after request_stop below.
+    // Transport already gone: there is nobody left to stop.
   }
-  stub_->request_stop();
-  if (thread_.joinable()) thread_.join();
 }
 
 // ---------------------------------------------------------------------------
@@ -112,6 +109,8 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
   }
   if (config_.wire_observer) data.a.attach_observer(config_.wire_observer);
   if (config_.irq_observer) irq.b.attach_observer(config_.irq_observer);
+  data.a.set_inline_peer([this] { on_data_sent(); });
+  irq.a.set_inline_peer([this] { on_interrupt_sent(); });
   data_kernel_side_ = std::move(data.a);
   irq_kernel_side_ = std::move(irq.a);
   irq_target_side_ = std::move(irq.b);
@@ -121,9 +120,8 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
   driver_ = driver.get();
   int dev = kernel_->register_driver(std::move(driver));
   util::require(dev == 0, "DriverTarget: scdev must be device 0");
+  budget_.set_consumer([this] { step(); });
 }
-
-DriverTarget::~DriverTarget() { shutdown(); }
 
 ipc::Channel DriverTarget::take_data_endpoint() {
   util::require(data_kernel_side_.valid(), "take_data_endpoint: already taken");
@@ -135,62 +133,72 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
   return std::move(irq_kernel_side_);
 }
 
-void DriverTarget::start() {
-  util::require(!started_, "DriverTarget::start called twice");
-  started_ = true;
-  pump_ = std::make_unique<InterruptPump>(std::move(irq_target_side_), *kernel_);
-  thread_ = std::thread([this] {
-    run_loop();
-    budget_.close();  // never consuming again: release the throttle
-  });
+void DriverTarget::on_data_sent() {
+  unread_ = true;
+  step();
 }
 
-void DriverTarget::run_loop() {
-  while (!stop_.load()) {
-    // Pay-after accounting in CPU *cycles*: OS overhead (syscalls, context
-    // switches, ISR entry) is charged as cycles by the RTOS model, and must
-    // slow the guest down in simulated time — that is the paper's Figure 7
-    // effect. Run a slice, then settle its measured cycle cost against the
-    // allowance the SystemC side deposits as simulated time advances. A
-    // closed budget (the session quiesced, or shutdown, which also sets
-    // stop_) settles nothing and lets the guest run on unthrottled.
+void DriverTarget::on_interrupt_sent() {
+  // The paper's "thread that listens to the interrupts generated from the
+  // SystemC device" (§4.1), run inline: queue each irq for ISR dispatch and
+  // report the acknowledge edge of the DriverIrq automaton.
+  try {
+    while (auto msg = ipc::try_recv_message(irq_target_side_)) {
+      if (auto irq = msg->irq()) {
+        kernel_->raise_irq(*irq);
+        irq_target_side_.notify_observer("ack");
+      }
+    }
+  } catch (const util::RuntimeError&) {
+    // Interrupt socket closed (the port quiesced): nothing more to deliver.
+  }
+  step();
+}
+
+bool DriverTarget::wake_pending() {
+  if (kernel_->irq_pending()) return true;
+  if (unread_) unread_ = driver_->has_unread();
+  return unread_;
+}
+
+void DriverTarget::step() {
+  while (!finished_ && !budget_.closed()) {
+    debt_ -= budget_.acquire(debt_);
+    if (debt_ > 0) return;  // the last slice is not paid for yet
+    const bool was_idle = last_status_ == rtos::RunStatus::Idle;
+    if (was_idle) {
+      // Every guest thread waits on a device read: the CPU idles, burning
+      // its allowance, until the kernel sends it something.
+      if (!wake_pending()) {
+        budget_.set_idle(true);
+        return;
+      }
+      budget_.set_idle(false);
+    }
     const std::uint64_t cycles_before = cpu_->cycles();
-    rtos::RunStatus status = kernel_->run(kRunQuantum);
-    last_status_.store(status);
-    if (config_.throttled) budget_.pay(cpu_->cycles() - cycles_before);
-    switch (status) {
+    last_status_ = kernel_->run(kRunQuantum);
+    debt_ = cpu_->cycles() - cycles_before;
+    switch (last_status_) {
       case rtos::RunStatus::AllDone:
-        finished_.store(true);
+        finished_ = true;
         return;
       case rtos::RunStatus::Fault:
         NISC_ERROR("driver-target") << "guest fault: "
                                     << iss::halt_name(kernel_->last_fault());
-        finished_.store(true);
+        finished_ = true;
         return;
       case rtos::RunStatus::Idle:
-        // Every guest thread is blocked in dev_read: the CPU idles, burning
-        // its allowance doing nothing, until device data arrives.
-        budget_.set_idle(true);
-        if (!driver_->wait_incoming(1) && driver_->degraded()) {
-          // No data will ever arrive on a degraded driver: idle politely
-          // instead of hot-spinning until shutdown.
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (was_idle && debt_ == 0) {
+          // Woken, but the driver read nothing (say, its poll was
+          // suppressed): retry at the next deposit.
+          budget_.set_idle(true);
+          return;
         }
-        budget_.set_idle(false);
         break;
       case rtos::RunStatus::Budget:
         break;
     }
   }
-}
-
-void DriverTarget::shutdown() {
-  if (!started_ || shut_down_) return;
-  shut_down_ = true;
-  stop_.store(true);
-  budget_.close();
-  if (thread_.joinable()) thread_.join();
-  if (pump_) pump_->stop();
 }
 
 }  // namespace nisc::cosim

@@ -1,20 +1,20 @@
 // Target-side session orchestration for the three co-simulation schemes.
 //
 // The paper runs the ISS as a separate host process wired to the SystemC
-// simulator over pipes/sockets. We run it on a dedicated host *thread* over
-// the same kind of file descriptors (see DESIGN.md, substitutions): GdbTarget
-// hosts an ISS + GDB stub (for the GDB-Wrapper and GDB-Kernel schemes),
-// DriverTarget hosts an ISS + eCos-like RTOS + device driver (for the
-// Driver-Kernel scheme).
+// simulator over pipes/sockets. We host it in-process as a passive target
+// that the SystemC kernel thread steps, over the same kind of file
+// descriptors (see DESIGN.md, substitutions): GdbTarget hosts an ISS + GDB
+// stub (for the GDB-Wrapper and GDB-Kernel schemes), DriverTarget hosts an
+// ISS + eCos-like RTOS + device driver (for the Driver-Kernel scheme).
 //
-// The target thread closes its TimeBudget on every exit, so a SystemC side
-// waiting on the reverse throttle is released the moment the ISS side ends.
+// A target runs at two kinds of points, both on the kernel thread: after
+// each TimeBudget deposit (it spends the allowance at once), and whenever a
+// kernel-side endpoint sends to it or waits for its reply (the endpoint's
+// inline-peer hook). No guest code runs before the first deposit or send.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "cosim/driver_kernel.hpp"
 #include "cosim/pragma.hpp"
@@ -31,14 +31,12 @@
 namespace nisc::cosim {
 
 // ---------------------------------------------------------------------------
-// GdbTarget: ISS + GDB stub on a target thread (GDB-Wrapper / GDB-Kernel).
+// GdbTarget: ISS + GDB stub (GDB-Wrapper / GDB-Kernel).
 
 struct GdbTargetConfig {
   std::size_t mem_size = 1 << 20;
   /// Paper: the GDB-Kernel IPC mechanism is a pipe.
   ipc::Transport transport = ipc::Transport::Pipe;
-  /// Meter ISS execution against a TimeBudget fed by the SystemC side.
-  bool throttled = true;
   /// Fault-injection plan installed on the stub-side endpoint (empty =
   /// healthy transport, zero overhead).
   ipc::FaultPlan fault_plan;
@@ -56,7 +54,7 @@ struct GdbTargetConfig {
 class GdbTarget {
  public:
   /// Assembles `guest_source` (pragmas are filtered per §3.2) and prepares
-  /// the stub/client pair. Call start() to launch the target thread.
+  /// the stub/client pair; the stub runs only when stepped.
   explicit GdbTarget(const std::string& guest_source, GdbTargetConfig config = {});
   ~GdbTarget();
 
@@ -74,14 +72,15 @@ class GdbTarget {
   /// Client-side wire capture (null when capture_wire is off).
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
 
-  /// The CPU is owned by the target thread while running; inspect it only
-  /// before start() or after shutdown().
   iss::Cpu& cpu() noexcept { return *cpu_; }
 
-  /// Launches the stub on the target thread.
-  void start();
+  /// Polls the stub once: it handles pending packets and, while the guest
+  /// runs, spends the budget's allowance. A halted stub with no unread
+  /// request has nothing to do and is skipped. A stub that ended closes the
+  /// budget. Called by budget deposits and by the client's inline-peer hook.
+  void step();
 
-  /// Stops the target and joins the thread (idempotent).
+  /// Halts and kills the stub over RSP, then closes the budget (idempotent).
   void shutdown();
 
  private:
@@ -94,13 +93,12 @@ class GdbTarget {
   std::unique_ptr<rsp::GdbClient> client_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::thread thread_;
-  bool started_ = false;
+  bool unread_ = false;  ///< the client sent bytes the stub may not have read
   bool shut_down_ = false;
 };
 
 // ---------------------------------------------------------------------------
-// DriverTarget: ISS + RTOS + device driver on a target thread (Driver-Kernel).
+// DriverTarget: ISS + RTOS + device driver (Driver-Kernel).
 
 struct DriverTargetConfig {
   std::size_t mem_size = 1 << 20;
@@ -110,7 +108,6 @@ struct DriverTargetConfig {
   /// iss_in port fed by guest dev_write / iss_out port serving dev_read.
   std::string write_port;
   std::string read_port;
-  bool throttled = true;
   /// Fault-injection plan installed on the driver-side data endpoint.
   ipc::FaultPlan fault_plan;
   /// Ring-buffer the kernel-side data traffic for post-mortems.
@@ -118,9 +115,10 @@ struct DriverTargetConfig {
   /// Live wire tap on the kernel-side data endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
-  /// Live wire tap on the pump-side interrupt endpoint. Sees every
-  /// INTERRUPT as an Rx transfer plus the pump's "ack" wire event, i.e.
-  /// exactly the DriverIrq automaton's alphabet (no flip_direction needed).
+  /// Live wire tap on the target-side interrupt endpoint. Sees every
+  /// INTERRUPT as an Rx transfer plus the "ack" wire event reported once the
+  /// RTOS took the irq, i.e. exactly the DriverIrq automaton's alphabet (no
+  /// flip_direction needed).
   std::shared_ptr<ipc::WireObserver> irq_observer;
   /// Hard deadline on every blocking channel send/recv.
   int io_timeout_ms = 30000;
@@ -128,20 +126,19 @@ struct DriverTargetConfig {
 
 class DriverTarget {
  public:
-  /// Guest instructions the RTOS runs per slice before the target thread
-  /// pays the slice's cycle cost against the budget.
+  /// Guest instructions the RTOS runs per slice before the target pays the
+  /// slice's cycle cost against the budget.
   static constexpr std::uint64_t kRunQuantum = 2048;
 
   /// Assembles `guest_source` (the RTOS ABI prelude is prepended) and
   /// boots the RTOS with an ScPortDriver as device 0.
   explicit DriverTarget(const std::string& guest_source, DriverTargetConfig config);
-  ~DriverTarget();
 
   DriverTarget(const DriverTarget&) = delete;
   DriverTarget& operator=(const DriverTarget&) = delete;
 
-  /// Kernel-side endpoints to hand to DriverKernelExtension (call once each,
-  /// before start()).
+  /// Kernel-side endpoints to hand to DriverKernelExtension (call once
+  /// each). Sending on them steps this target, which must outlive them.
   ipc::Channel take_data_endpoint();
   ipc::Channel take_interrupt_endpoint();
 
@@ -156,18 +153,27 @@ class DriverTarget {
   /// Kernel-side data-port wire capture (null when capture_wire is off).
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
 
-  /// Launches the RTOS scheduling loop and the interrupt listener thread.
-  void start();
+  /// Runs the guest as far as the allowance reaches. Pay-after accounting in
+  /// CPU *cycles*: OS overhead (syscalls, context switches, ISR entry) is
+  /// charged as cycles by the RTOS model and must slow the guest down in
+  /// simulated time — the paper's Figure 7 effect. A slice starts once the
+  /// previous one is paid for, and its cycle cost is debt that later
+  /// deposits settle. A guest whose threads all wait on device reads runs
+  /// again only when the kernel sent it bytes it has not read, or an irq.
+  void step();
 
-  /// Stops the target and joins all threads (idempotent).
-  void shutdown();
+  /// Ends stepping by closing the budget (idempotent).
+  void shutdown() { budget_.close(); }
 
-  /// True once every guest thread exited.
-  bool finished() const noexcept { return finished_.load(); }
-  rtos::RunStatus last_status() const noexcept { return last_status_.load(); }
+  /// True once every guest thread exited or the guest faulted.
+  bool finished() const noexcept { return finished_; }
+  rtos::RunStatus last_status() const noexcept { return last_status_; }
 
  private:
-  void run_loop();
+  /// Inline-peer hooks of the kernel-side data and interrupt endpoints.
+  void on_data_sent();
+  void on_interrupt_sent();
+  bool wake_pending();
 
   DriverTargetConfig config_;
   iss::Program program_;
@@ -180,13 +186,10 @@ class DriverTarget {
   ipc::Channel irq_target_side_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::unique_ptr<InterruptPump> pump_;
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
-  std::atomic<bool> finished_{false};
-  std::atomic<rtos::RunStatus> last_status_{rtos::RunStatus::Budget};
-  bool started_ = false;
-  bool shut_down_ = false;
+  std::uint64_t debt_ = 0;  ///< cycles of the last slice not yet paid for
+  bool unread_ = false;     ///< the kernel sent data the driver may not have read
+  bool finished_ = false;
+  rtos::RunStatus last_status_ = rtos::RunStatus::Budget;
 };
 
 }  // namespace nisc::cosim

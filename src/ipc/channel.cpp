@@ -15,6 +15,7 @@
 #include "ipc/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace nisc::ipc {
@@ -77,6 +78,7 @@ void Channel::send(std::span<const std::uint8_t> data) {
     write_all(write_fd_, data, io_timeout_ms_);
     if (capture_) capture_->record(CaptureDir::Tx, data);
     if (observer) observer->on_wire(CaptureDir::Tx, data);
+    if (inline_peer_) inline_peer_();
     return;
   }
   SendVerdict verdict = faults_->on_send(data);
@@ -89,6 +91,7 @@ void Channel::send(std::span<const std::uint8_t> data) {
     if (observer) observer->on_wire(CaptureDir::Tx, verdict.bytes);
   }
   if (verdict.close_after) close();
+  if (inline_peer_) inline_peer_();
 }
 
 void Channel::send_str(const std::string& s) {
@@ -135,7 +138,15 @@ bool Channel::readable(int timeout_ms) {
     }
     return false;
   }
-  return poll_readable(read_fd_, timeout_ms);
+  if (!inline_peer_ || timeout_ms == 0) return poll_readable(read_fd_, timeout_ms);
+  // The peer runs on this thread: waiting without stepping it would only
+  // burn the timeout.
+  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
+  for (;;) {
+    if (poll_readable(read_fd_, 0)) return true;
+    if (deadline.expired()) return false;
+    inline_peer_();
+  }
 }
 
 std::size_t Channel::recv_some(std::span<std::uint8_t> out) {

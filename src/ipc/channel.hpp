@@ -12,9 +12,14 @@
 //     it happens (the protocol conformance monitor attaches here).
 // Blocking sends/receives are bounded by a per-channel I/O timeout; all
 // channel descriptors are O_NONBLOCK so write deadlines are enforceable.
+//
+// An endpoint whose peer is an in-process target (an ISS stub or RTOS that
+// runs on this endpoint's thread) carries an inline-peer hook: the peer then
+// runs whenever this side sends to it or waits for its reply.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -54,8 +59,15 @@ class Channel {
   void send(std::span<const std::uint8_t> data);
   void send_str(const std::string& s);
   void recv_exact(std::span<std::uint8_t> out);
+  /// With an inline peer and a non-zero timeout, steps the peer until it
+  /// has written something or the timeout expired; 0 only polls.
   bool readable(int timeout_ms = 0);
   std::size_t recv_some(std::span<std::uint8_t> out);
+
+  /// Installs the step of an in-process peer: run after every send() and
+  /// while readable() waits, so the peer consumes what this side sent and
+  /// writes its reply on the caller's thread.
+  void set_inline_peer(std::function<void()> step) { inline_peer_ = std::move(step); }
 
   /// Installs a fault plan state (normally via FaultyChannel::install).
   void attach_faults(std::shared_ptr<FaultState> faults) noexcept { faults_ = std::move(faults); }
@@ -99,6 +111,7 @@ class Channel {
   std::shared_ptr<FaultState> faults_;
   std::shared_ptr<WireCapture> capture_;
   std::shared_ptr<WireObserver> observer_;  // atomic_load/atomic_store only
+  std::function<void()> inline_peer_;
 };
 
 /// Two channel endpoints wired back-to-back.

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -20,11 +21,26 @@ namespace nisc::iss {
 
 /// The ISS's byte-addressed memory. Accesses outside [0, size) throw
 /// RuntimeError (the CPU converts this into a MemoryFault halt).
+///
+/// Backed by an anonymous private mapping, which the host kernel zero-fills
+/// page by page on first touch: a 1 MB guest that touches a few pages costs
+/// a few page faults, not a 1 MB memset.
 class Memory {
  public:
-  explicit Memory(std::size_t size = 1 << 20) : bytes_(size, 0) {}
+  explicit Memory(std::size_t size = 1 << 20);
+  ~Memory();
 
-  std::size_t size() const noexcept { return bytes_.size(); }
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
+  Memory(Memory&& other) noexcept
+      : bytes_(std::exchange(other.bytes_, nullptr)), size_(std::exchange(other.size_, 0)) {}
+  Memory& operator=(Memory&& other) noexcept {
+    std::swap(bytes_, other.bytes_);
+    std::swap(size_, other.size_);
+    return *this;
+  }
+
+  std::size_t size() const noexcept { return size_; }
 
   std::uint8_t read8(std::uint32_t addr) const {
     check(addr, 1);
@@ -62,29 +78,30 @@ class Memory {
   /// Bulk copy into guest memory (program loading, debugger writes).
   void write_block(std::uint32_t addr, std::span<const std::uint8_t> data) {
     check(addr, data.size());
-    std::copy(data.begin(), data.end(), bytes_.begin() + addr);
+    std::copy(data.begin(), data.end(), bytes_ + addr);
   }
 
   /// Bulk copy out of guest memory (debugger reads).
   std::vector<std::uint8_t> read_block(std::uint32_t addr, std::size_t len) const {
     check(addr, len);
-    return {bytes_.begin() + addr, bytes_.begin() + addr + len};
+    return {bytes_ + addr, bytes_ + addr + len};
   }
 
-  /// Zeroes all of memory.
-  void clear() noexcept { std::fill(bytes_.begin(), bytes_.end(), 0); }
+  /// Zeroes all of memory (returning the touched pages to the host).
+  void clear() noexcept;
 
   /// Read-only view over the whole address space (checkpoint page scan).
-  std::span<const std::uint8_t> bytes() const noexcept { return bytes_; }
+  std::span<const std::uint8_t> bytes() const noexcept { return {bytes_, size_}; }
 
  private:
   void check(std::uint32_t addr, std::size_t len) const {
-    if (static_cast<std::uint64_t>(addr) + len > bytes_.size()) {
+    if (static_cast<std::uint64_t>(addr) + len > size_) {
       throw util::RuntimeError("memory access out of bounds at 0x" + std::to_string(addr));
     }
   }
 
-  std::vector<std::uint8_t> bytes_;
+  std::uint8_t* bytes_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 #if defined(__GNUC__) && !defined(__clang__)

@@ -60,7 +60,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         auto ext = std::make_unique<cosim::GdbKernelExtension>(
             target->client(), &target->budget(), target->bindings(), options);
         ctx_->register_extension(ext.get());
-        target->start();
         gdb_targets_.push_back(std::move(target));
         gdb_exts_.push_back(std::move(ext));
         break;
@@ -68,7 +67,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
       case Scheme::GdbWrapper: {
         cosim::GdbTargetConfig tc;
         tc.transport = config_.transport.value_or(ipc::Transport::Pipe);
-        tc.throttled = false;  // the wrapper's explicit lock-step paces the ISS
         tc.fault_plan = config_.fault_plan;
         tc.reply_timeout_ms = config_.reply_timeout_ms;
         tc.io_timeout_ms = config_.io_timeout_ms;
@@ -84,7 +82,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
             "wrapper" + std::to_string(cpu), target->client(), target->bindings(), options);
         wrapper.clk.bind(clock_->signal());
         wrappers_.push_back(&wrapper);
-        target->start();
         gdb_targets_.push_back(std::move(target));
         break;
       }
@@ -110,7 +107,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
             target->take_data_endpoint(), target->take_interrupt_endpoint(),
             &target->budget(), options);
         ctx_->register_extension(ext.get());
-        target->start();
         driver_targets_.push_back(std::move(target));
         driver_exts_.push_back(std::move(ext));
         break;

@@ -53,7 +53,7 @@ struct TestbenchConfig {
   /// Live wire tap attached to every session's SystemC-side endpoint (e.g.
   /// an analysis::LiveConformanceMonitor). Shared across CPUs; null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
-  /// Live wire tap on every Driver-Kernel session's pump-side interrupt
+  /// Live wire tap on every Driver-Kernel session's target-side interrupt
   /// endpoint (the DriverIrq automaton's channel). Shared; null = none.
   std::shared_ptr<ipc::WireObserver> irq_observer;
   /// Resilience knobs forwarded to each session (see cosim::GdbTargetConfig
@@ -120,7 +120,8 @@ class Testbench {
   /// `fault_plan` is empty).
   std::uint64_t faults_injected() const;
 
-  /// Stops the ISS side; called automatically on destruction.
+  /// Stops every ISS session (idempotent); called automatically on
+  /// destruction.
   void shutdown();
 
   Router& router() noexcept { return *router_; }

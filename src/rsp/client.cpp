@@ -148,8 +148,15 @@ void GdbClient::cont() {
 }
 
 StopReply GdbClient::parse_stop(const std::string& payload) {
+  // Only stop packets end a continue: S/T (signal), W (exited), X (killed).
+  // Anything else here is a stray reply — a duplicated "OK", an error or an
+  // empty packet — and reading it as a stop would leave the extension
+  // talking to a target that is still running.
+  if (payload.empty() || std::string_view("STWX").find(payload[0]) == std::string_view::npos) {
+    throw RuntimeError("GdbClient: expected a stop reply, got '" + payload + "'");
+  }
   StopReply stop;
-  if (payload.size() >= 3 && (payload[0] == 'S' || payload[0] == 'T')) {
+  if (payload.size() >= 3) {
     int hi = util::hex_value(payload[1]);
     int lo = util::hex_value(payload[2]);
     if (hi >= 0 && lo >= 0) stop.signal = (hi << 4) | lo;
@@ -175,17 +182,20 @@ StopReply GdbClient::parse_stop(const std::string& payload) {
   return stop;
 }
 
+StopReply GdbClient::take_stop(const std::string& payload) {
+  channel_.send_str("+");
+  StopReply stop = parse_stop(payload);  // throws on a stray reply: still running
+  running_ = false;
+  ++stats_.stops_received;
+  return stop;
+}
+
 std::optional<StopReply> GdbClient::poll_stop() {
   util::require(running_, "GdbClient::poll_stop while target halted");
   ++stats_.stop_polls;
   pump(/*blocking=*/false);
   while (auto event = reader_.next()) {
-    if (event->kind == RspEventKind::Packet) {
-      channel_.send_str("+");
-      running_ = false;
-      ++stats_.stops_received;
-      return parse_stop(event->payload);
-    }
+    if (event->kind == RspEventKind::Packet) return take_stop(event->payload);
     // Acks/Naks between frames are ignored while running.
   }
   return std::nullopt;
@@ -199,12 +209,7 @@ std::optional<StopReply> GdbClient::wait_stop(int timeout_ms) {
   for (;;) {
     ++stats_.stop_polls;
     while (auto event = reader_.next()) {
-      if (event->kind == RspEventKind::Packet) {
-        channel_.send_str("+");
-        running_ = false;
-        ++stats_.stops_received;
-        return parse_stop(event->payload);
-      }
+      if (event->kind == RspEventKind::Packet) return take_stop(event->payload);
     }
     if (deadline.expired()) return std::nullopt;
     if (channel_.readable(deadline.remaining_ms())) pump(/*blocking=*/false);

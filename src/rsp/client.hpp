@@ -76,11 +76,13 @@ class GdbClient {
   bool running() const noexcept { return running_; }
 
   /// Non-blocking: has a stop reply arrived? (The paper's Fig. 3 check "GDB
-  /// stopped at breakpoint?" implemented over the IPC channel.)
+  /// stopped at breakpoint?" implemented over the IPC channel.) Only S, T, W
+  /// and X packets are stops; any other packet throws RuntimeError.
   std::optional<StopReply> poll_stop();
 
-  /// Blocks until the target stops. `timeout_ms` < 0 waits forever.
-  /// Returns nullopt on timeout.
+  /// Waits until the target stops, stepping an in-process peer meanwhile
+  /// (see ipc::Channel::set_inline_peer). `timeout_ms` < 0 waits forever.
+  /// Returns nullopt on timeout; throws like poll_stop on a non-stop packet.
   std::optional<StopReply> wait_stop(int timeout_ms = -1);
 
   /// Single-steps and returns the stop reply.
@@ -108,6 +110,8 @@ class GdbClient {
   void send_frame(const std::string& payload);
   void pump(bool blocking, int timeout_ms = -1);
   std::string await_reply();
+  /// Acks a packet received while running and returns it as the stop.
+  StopReply take_stop(const std::string& payload);
   static StopReply parse_stop(const std::string& payload);
 
   ipc::Channel channel_;

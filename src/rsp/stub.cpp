@@ -25,68 +25,43 @@ std::optional<std::uint64_t> parse_hex(std::string_view text) {
 GdbStub::GdbStub(iss::Cpu& cpu, ipc::Channel channel, StubOptions options)
     : cpu_(cpu), channel_(std::move(channel)), options_(std::move(options)) {}
 
-void GdbStub::serve() {
-  while (!done_) {
-    if (stop_requested_.load(std::memory_order_relaxed)) break;
-    if (state_ == State::Halted) {
-      pump_transport(/*blocking=*/true);
-    } else {
-      bool progressed = false;
-      try {
-        progressed = run_slice();
-      } catch (const util::RuntimeError&) {
-        done_ = true;  // stop reply could not be delivered
-        break;
-      }
-      if (!progressed && state_ == State::Running) {
-        // Throttle granted nothing (e.g. budget closed at teardown): avoid a
-        // hard spin while still reacting promptly to packets.
-        try {
-          channel_.readable(1);
-        } catch (const util::RuntimeError&) {
-          done_ = true;
-        }
-      }
-      pump_transport(/*blocking=*/false);
-    }
+bool GdbStub::poll() {
+  if (done_) return false;
+  bool progressed = false;
+  try {
+    pump_transport();
     while (!done_) {
       auto event = reader_.next();
       if (!event) break;
-      try {
-        handle_event(*event);
-      } catch (const util::RuntimeError&) {
-        done_ = true;  // transport died mid-reply (peer gone / fault cut it)
-      }
+      handle_event(*event);
+      progressed = true;
     }
-  }
-}
-
-bool GdbStub::poll() {
-  if (done_) return false;
-  if (state_ == State::Running) run_slice();
-  pump_transport(/*blocking=*/false);
-  bool handled = false;
-  while (auto event = reader_.next()) {
-    handle_event(*event);
-    handled = true;
-    if (done_) break;
-  }
-  return handled || state_ == State::Running;
-}
-
-void GdbStub::pump_transport(bool blocking) {
-  std::uint8_t buf[512];
-  try {
-    if (blocking) {
-      // Wait for the first byte in bounded ticks (not forever) so serve()
-      // re-checks done_/stop_requested_ even when the peer goes silent.
-      if (!channel_.readable(100)) return;
+    while (!done_ && state_ == State::Running && run_slice()) {
+      progressed = true;
+      if (!options_.acquire_quantum) break;  // unthrottled: one slice per poll
     }
-    std::size_t n = channel_.recv_some(buf);
-    if (n > 0) reader_.feed(std::span<const std::uint8_t>(buf, n));
   } catch (const util::RuntimeError&) {
-    done_ = true;  // peer closed
+    done_ = true;  // peer gone, or a fault cut the transport mid-reply
   }
+  return progressed;
+}
+
+bool GdbStub::input_pending() const {
+  if (done_) return false;
+  try {
+    return ipc::poll_readable(channel_.read_fd(), 0);
+  } catch (const util::RuntimeError&) {
+    return false;
+  }
+}
+
+void GdbStub::pump_transport() {
+  // readable() first, so a fault plan's EAGAIN storm on this endpoint bites
+  // the way it bites a poll(2)-driven stub.
+  if (!channel_.readable(0)) return;
+  std::uint8_t buf[512];
+  std::size_t n = channel_.recv_some(buf);
+  if (n > 0) reader_.feed(std::span<const std::uint8_t>(buf, n));
 }
 
 void GdbStub::handle_event(const RspEvent& event) {

@@ -8,16 +8,16 @@
 //   ?                halt reason              g / G        all registers
 //   p<n> / P<n>=<v>  single register          m / M        memory
 //   Z0/z0            sw breakpoints           Z2/z2        write watchpoints
-//   c / s            continue / step          k            kill (ends serve)
+//   c / s            continue / step          k            kill (ends the stub)
 //   qSupported, qAttached, H..., D            handshaking odds and ends
 //
-// While the CPU runs (after 'c'), execution proceeds in quantum slices; an
-// optional throttle callback meters instructions (the co-simulation layer
-// uses it to bind ISS progress to SystemC time), and the 0x03 interrupt
-// byte halts the target.
+// The stub is passive: whoever hosts it calls poll(), which handles the
+// pending packets and, while the CPU runs (after 'c'), executes quantum
+// slices. An optional throttle callback meters instructions (the
+// co-simulation layer uses it to bind ISS progress to SystemC time), and the
+// 0x03 interrupt byte halts the target.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -31,7 +31,7 @@ struct StubOptions {
   /// Instructions per continue-slice between transport polls.
   std::uint64_t quantum = 4096;
   /// Optional throttle: given the desired instruction count, returns how
-  /// many the CPU may execute now (may block). Used for time correlation.
+  /// many the CPU may execute now (0: none yet). Used for time correlation.
   std::function<std::uint64_t(std::uint64_t)> acquire_quantum;
   /// Optional run-state notification: called with true when the target
   /// starts free-running ('c') and false when it halts. The co-simulation
@@ -50,25 +50,31 @@ class GdbStub {
  public:
   GdbStub(iss::Cpu& cpu, ipc::Channel channel, StubOptions options = {});
 
-  /// Serves requests until 'k' (kill), 'D' (detach), transport EOF/error,
-  /// or request_stop(). Run this on the dedicated target thread. Never
-  /// blocks unboundedly: while halted it wakes every ~100 ms to re-check
-  /// its exit conditions.
-  void serve();
-
-  /// Processes at most one pending event without blocking; returns false
-  /// when nothing was pending. Useful for single-threaded tests.
+  /// One step, never blocking: checks the transport once (readable(0),
+  /// then a read), handles every complete packet, and while the CPU runs
+  /// executes slices for as long as the throttle grants instructions (one
+  /// slice when there is no throttle). Returns true when it handled a
+  /// packet or ran a slice.
   bool poll();
 
-  /// Asks serve() (possibly on another thread) to return at its next tick.
-  void request_stop() noexcept { stop_requested_.store(true, std::memory_order_relaxed); }
+  /// True once the stub ended: 'k' (kill), 'D' (detach), or a transport
+  /// EOF/error. Later polls do nothing.
+  bool done() const noexcept { return done_; }
+
+  /// True while the CPU free-runs after 'c'.
+  bool running() const noexcept { return state_ == State::Running; }
+
+  /// True while bytes from the client sit unread on the transport. Polls the
+  /// descriptor itself, past any fault plan, so a suppressed poll cannot
+  /// hide them.
+  bool input_pending() const;
 
   const StubStats& stats() const noexcept { return stats_; }
 
  private:
   enum class State : std::uint8_t { Halted, Running };
 
-  void pump_transport(bool blocking);
+  void pump_transport();
   void handle_event(const RspEvent& event);
   void handle_packet(const std::string& payload);
   /// Returns false when the throttle granted no instructions.
@@ -90,7 +96,6 @@ class GdbStub {
   PacketReader reader_;
   State state_ = State::Halted;
   bool done_ = false;
-  std::atomic<bool> stop_requested_{false};
   std::string last_frame_;  // for Nak retransmission
   StubStats stats_;
 };

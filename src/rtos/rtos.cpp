@@ -98,11 +98,6 @@ Driver& Kernel::driver(int dev_id) {
   return *drivers_[static_cast<std::size_t>(dev_id)];
 }
 
-void Kernel::raise_irq(std::uint32_t irq) {
-  std::lock_guard lock(irq_mutex_);
-  pending_irqs_.push_back(irq);
-}
-
 int Kernel::live_threads() const noexcept {
   int n = 0;
   for (const Thread& t : threads_) {
@@ -170,13 +165,9 @@ std::optional<int> Kernel::pick_ready(int after) const {
 
 bool Kernel::dispatch_irq() {
   if (in_isr_) return false;
-  std::uint32_t irq = 0;
-  {
-    std::lock_guard lock(irq_mutex_);
-    if (pending_irqs_.empty()) return false;
-    irq = pending_irqs_.front();
-    pending_irqs_.pop_front();
-  }
+  if (pending_irqs_.empty()) return false;
+  const std::uint32_t irq = pending_irqs_.front();
+  pending_irqs_.pop_front();
   auto it = irq_handlers_.find(irq);
   if (it == irq_handlers_.end()) {
     // No handler yet: hold the interrupt until one attaches.
@@ -251,10 +242,7 @@ iss::Cpu::EcallResult Kernel::handle_ecall() {
       // Re-arm any interrupt that arrived before the handler existed.
       auto held = std::partition(unclaimed_irqs_.begin(), unclaimed_irqs_.end(),
                                  [&](std::uint32_t irq) { return irq != a0; });
-      if (held != unclaimed_irqs_.end()) {
-        std::lock_guard lock(irq_mutex_);
-        for (auto it = held; it != unclaimed_irqs_.end(); ++it) pending_irqs_.push_back(*it);
-      }
+      pending_irqs_.insert(pending_irqs_.end(), held, unclaimed_irqs_.end());
       unclaimed_irqs_.erase(held, unclaimed_irqs_.end());
       cpu_.set_reg(kA0, 0);
       return iss::Cpu::EcallResult::Handled;

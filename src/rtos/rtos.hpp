@@ -25,8 +25,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -54,8 +54,8 @@ enum class Sys : std::uint32_t {
 /// Assembly prelude defining SYS_* constants; prepend to guest sources.
 std::string guest_abi_prelude();
 
-/// A device driver registered with the kernel. read()/write() are called on
-/// the kernel's (target) thread.
+/// A device driver registered with the kernel. read()/write() are called
+/// from run(), while guest code executes.
 class Driver {
  public:
   virtual ~Driver() = default;
@@ -110,9 +110,11 @@ class Kernel {
   int register_driver(std::unique_ptr<Driver> driver);
   Driver& driver(int dev_id);
 
-  /// Queues an interrupt for dispatch. Thread-safe (callable from the
-  /// listener thread receiving the socket-interrupt-port messages).
-  void raise_irq(std::uint32_t irq);
+  /// Queues an interrupt for dispatch at the next run().
+  void raise_irq(std::uint32_t irq) { pending_irqs_.push_back(irq); }
+
+  /// True while a raised interrupt waits for dispatch.
+  bool irq_pending() const noexcept { return !pending_irqs_.empty(); }
 
   /// Runs guest threads for up to `max_instructions`.
   RunStatus run(std::uint64_t max_instructions);
@@ -165,7 +167,6 @@ class Kernel {
   std::map<std::uint32_t, std::uint32_t> irq_handlers_;
   std::deque<std::uint32_t> pending_irqs_;
   std::vector<std::uint32_t> unclaimed_irqs_;
-  std::mutex irq_mutex_;
   bool in_isr_ = false;
   Thread interrupted_;  // context saved across the ISR
   int interrupted_tid_ = -1;

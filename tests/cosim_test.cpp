@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <thread>
 
 #include "cosim/driver_kernel.hpp"
 #include "cosim/gdb_kernel.hpp"
@@ -43,44 +42,32 @@ TEST(TimeBudgetTest, CapBoundsAccumulation) {
   EXPECT_EQ(budget.available(), 100u);
 }
 
-TEST(TimeBudgetTest, CloseUnblocksWaiter) {
+TEST(TimeBudgetTest, ClosedBudgetGrantsNothing) {
   TimeBudget budget;
-  std::uint64_t got = 99;
-  std::thread waiter([&] { got = budget.acquire(10); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  budget.deposit(10);
   budget.close();
-  waiter.join();
-  EXPECT_EQ(got, 0u);
   EXPECT_TRUE(budget.closed());
+  EXPECT_EQ(budget.acquire(10), 0u);
+  budget.deposit(10);  // ignored once closed
+  EXPECT_EQ(budget.available(), 10u);
 }
 
-TEST(TimeBudgetTest, AcquireBlocksUntilDeposit) {
+TEST(TimeBudgetTest, DepositRunsConsumerUntilClosed) {
+  // The consumer is the in-process target: every deposit steps it at once,
+  // an idle one included (its allowance burns, but pending input may wake
+  // it), and a closed budget steps it no more.
   TimeBudget budget;
-  std::uint64_t got = 0;
-  std::thread waiter([&] { got = budget.acquire(10); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  budget.deposit(3);
-  waiter.join();
-  EXPECT_EQ(got, 3u);
-}
-
-TEST(TimeBudgetTest, ReverseThrottleEndsOnConsumption) {
-  TimeBudget budget;
-  budget.deposit(2 * TimeBudget::kMaxLead);  // the ISS is far behind
-  std::thread kernel([&] { budget.wait_below_lead(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(budget.acquire(TimeBudget::kMaxLead + 1), TimeBudget::kMaxLead + 1);
-  kernel.join();
-}
-
-TEST(TimeBudgetTest, CloseReleasesReverseThrottle) {
-  TimeBudget budget;
-  budget.deposit(2 * TimeBudget::kMaxLead);
-  std::thread kernel([&] { budget.wait_below_lead(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  budget.close();  // nothing consumed: only the close can release the kernel
-  kernel.join();
-  EXPECT_EQ(budget.available(), 2 * TimeBudget::kMaxLead);
+  std::vector<std::uint64_t> seen;
+  budget.set_consumer([&] { seen.push_back(budget.acquire(5)); });
+  budget.deposit(8);
+  budget.advance_to(1000000, 4);  // 1 us at 4 instructions/us
+  budget.set_idle(true);
+  budget.deposit(8);
+  budget.set_idle(false);
+  budget.close();
+  budget.deposit(8);
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{5, 5, 0}));
+  EXPECT_EQ(budget.available(), 0u);
 }
 
 // ---------------------------------------------------------------- pragma filter
@@ -208,7 +195,6 @@ TEST(GdbKernelTest, SingleShotRoundTrip) {
   options.instructions_per_us = 1000000;
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
-  target.start();
 
   { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
@@ -238,7 +224,6 @@ TEST(GdbKernelTest, IssProcessWakesOnDelivery) {
   options.instructions_per_us = 1000000;
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
-  target.start();
 
   { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
@@ -293,7 +278,6 @@ out_var: .word 0
   options.instructions_per_us = 1000000;
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
-  target.start();
 
   { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
@@ -311,7 +295,6 @@ TEST(GdbKernelTest, ElaborationRejectsUnknownPort) {
   GdbTarget target(kDoublerGuest);
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings());
   ctx.register_extension(&ext);
-  target.start();
   EXPECT_THROW(ctx.run(10_ns), util::LogicError);
   target.shutdown();
 }
@@ -325,15 +308,12 @@ TEST(GdbWrapperTest, SingleShotRoundTrip) {
   sysc::iss_in<std::uint32_t> from_cpu("hw.from_cpu");
   to_cpu.write(21);
 
-  GdbTargetConfig config;
-  config.throttled = false;  // the wrapper's lock-step paces the ISS itself
-  GdbTarget target(kDoublerGuest, config);
+  GdbTarget target(kDoublerGuest);
   GdbWrapperOptions options;
   options.instructions_per_cycle = 4;
   auto& wrapper = ctx.create<GdbWrapperModule>("wrapper", target.client(), target.bindings(),
                                                options);
   wrapper.clk.bind(clk.signal());
-  target.start();
 
   { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!wrapper.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
@@ -388,12 +368,11 @@ struct DriverFixture : ::testing::Test {
                                                   target->take_interrupt_endpoint(),
                                                   &target->budget(), ext_options);
     ctx->register_extension(ext.get());
-    target->start();
   }
 
   void run_until_finished() {
-    // Bound by wall clock, not window count: the target thread's progress
-    // depends on host scheduling.
+    // Bound by wall clock so a session that never finishes fails the test
+    // instead of hanging it.
     auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
     while (!target->finished() && std::chrono::steady_clock::now() < deadline) {
       ctx->run(100_ns);
@@ -518,8 +497,7 @@ TEST_F(DriverFixture, GuestFaultEndsSession) {
 }
 
 /// Cycles a spinning Driver-Kernel guest retires when the kernel runs
-/// `windows` back-to-back windows of `window` each, once the ISS spent its
-/// allowance.
+/// `windows` back-to-back windows of `window` each.
 std::uint64_t spin_cycles(int windows, sysc::sc_time window) {
   sysc::sc_simcontext ctx;
   sysc::sc_clock clk("clk", 10_ns);
@@ -532,12 +510,7 @@ std::uint64_t spin_cycles(int windows, sysc::sc_time window) {
   DriverKernelExtension ext(target.take_data_endpoint(), target.take_interrupt_endpoint(),
                             &target.budget(), options);
   ctx.register_extension(&ext);
-  target.start();
   for (int i = 0; i < windows; ++i) ctx.run(window);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (target.budget().available() > 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
   target.shutdown();
   ctx.unregister_extension(&ext);
   return target.cpu().cycles();
@@ -545,14 +518,11 @@ std::uint64_t spin_cycles(int windows, sysc::sc_time window) {
 
 TEST(DriverTargetTest, AllowanceDoesNotDependOnRunSlicing) {
   // The guest's simulated speed is a function of simulated time only: how
-  // the caller slices run() must not grant extra instructions. The slack is
-  // one slice (still unpaid when the allowance runs out) plus the lead.
+  // the caller slices run() must not change what it retires.
   const std::uint64_t whole = spin_cycles(1, 100_us);
   const std::uint64_t split = spin_cycles(10, 10_us);
-  const std::uint64_t slack = DriverTarget::kRunQuantum + TimeBudget::kMaxLead;
   EXPECT_GE(whole, 99u * 10000u);  // the guest ran at its nominal speed
-  EXPECT_LE(split, whole + slack);
-  EXPECT_LE(whole, split + slack);
+  EXPECT_EQ(split, whole);
 }
 
 TEST(DriverTargetTest, EndpointsCanOnlyBeTakenOnce) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <thread>
 
 #include "cosim/driver_kernel.hpp"
 #include "cosim/gdb_kernel.hpp"
@@ -35,13 +34,13 @@ TEST(RspFailure, ClientSurvivesCorruptedReplyViaNak) {
   auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
   auto faults = ipc::FaultyChannel::install(pair.a, ipc::FaultPlan{}.corrupt_send(1, 1));
   rsp::GdbStub stub(cpu, std::move(pair.a));
+  pair.b.set_inline_peer([&] { stub.poll(); });
   rsp::GdbClient client(std::move(pair.b));
-  std::thread serve([&] { stub.serve(); });
 
   EXPECT_EQ(client.transact("?"), "S05");  // survives the corruption
   EXPECT_EQ(faults->stats().injected[static_cast<int>(ipc::FaultKind::CorruptByte)], 1u);
   client.kill();
-  serve.join();
+  EXPECT_TRUE(stub.done());
 }
 
 TEST(RspFailure, ClientGivesUpWhenEveryReplyIsDropped) {
@@ -54,8 +53,8 @@ TEST(RspFailure, ClientGivesUpWhenEveryReplyIsDropped) {
                         /*count=*/1, /*arg=*/0, /*min_size=*/2, /*probability=*/1.0});
   ipc::FaultyChannel::install(pair.a, plan);
   rsp::GdbStub stub(cpu, std::move(pair.a));
+  pair.b.set_inline_peer([&] { stub.poll(); });
   rsp::GdbClient client(std::move(pair.b), rsp::ClientOptions{/*reply_timeout_ms=*/200});
-  std::thread serve([&] { stub.serve(); });
   auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(client.transact("?"), util::RuntimeError);
   auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -63,27 +62,29 @@ TEST(RspFailure, ClientGivesUpWhenEveryReplyIsDropped) {
                      .count();
   EXPECT_GE(elapsed, 150);
   EXPECT_LT(elapsed, 5000);
-  stub.request_stop();
-  serve.join();
+  EXPECT_FALSE(stub.done());  // the stub itself is healthy: only its replies vanish
 }
 
 TEST(RspFailure, StubExitsOnTransportClose) {
   iss::Cpu cpu(1 << 16);
   auto pair = ipc::make_channel_pair(ipc::Transport::Pipe);
   rsp::GdbStub stub(cpu, std::move(pair.a));
-  std::thread serve([&] { stub.serve(); });
   pair.b.close();  // peer disappears
-  serve.join();    // must terminate, not hang
+  EXPECT_FALSE(stub.poll());
+  EXPECT_TRUE(stub.done());  // ended on EOF, never to poll the dead wire again
+  EXPECT_FALSE(stub.poll());
 }
 
 TEST(RspFailure, ClientThrowsAfterPeerDeath) {
   iss::Cpu cpu(1 << 16);
   auto pair = ipc::make_channel_pair(ipc::Transport::Pipe);
   auto stub = std::make_unique<rsp::GdbStub>(cpu, std::move(pair.a));
+  pair.b.set_inline_peer([&] {
+    if (stub) stub->poll();
+  });
   rsp::GdbClient client(std::move(pair.b));
-  std::thread serve([&] { stub->serve(); });
   client.kill();
-  serve.join();
+  EXPECT_TRUE(stub->done());
   stub.reset();  // closes the stub-side fds
   EXPECT_THROW(client.transact("?"), util::RuntimeError);
 }
@@ -183,12 +184,11 @@ loop:
 buf: .word 7
 )";
 
-TEST(DriverTargetFailure, QuiesceReleasesGuestBlockedInPay) {
+TEST(DriverTargetFailure, QuiesceEndsGuestStepping) {
   // The guest's first device write is cut mid-frame and its socket closed:
   // the kernel extension quiesces the port, which ends time correlation.
-  // The guest has far more work left than the allowance granted so far, so
-  // it only finishes, with no further simulated time, because the quiesce
-  // closed its budget.
+  // The closed budget steps the guest no more, so its remaining work stays
+  // undone however long the simulation keeps running.
   sysc::sc_simcontext ctx;
   sysc::sc_clock clk("clk", 10_ns);
   sysc::iss_in<std::uint32_t> port_in("dev.in");
@@ -203,21 +203,17 @@ TEST(DriverTargetFailure, QuiesceReleasesGuestBlockedInPay) {
   cosim::DriverKernelExtension ext(target.take_data_endpoint(), target.take_interrupt_endpoint(),
                                    &target.budget(), options);
   ctx.register_extension(&ext);
-  target.start();
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!ext.quiesced() && std::chrono::steady_clock::now() < deadline) ctx.run(1_us);
+  ctx.run(1_us);
   ASSERT_TRUE(ext.quiesced());
   EXPECT_TRUE(target.budget().closed());
-
-  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!target.finished() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(target.finished());
-  EXPECT_EQ(target.last_status(), rtos::RunStatus::AllDone);
   // What Testbench::degraded() reads for this session: the quiesced port
   // and the driver that lost its socket (the second write failed).
   EXPECT_TRUE(target.driver().degraded());
+
+  const std::uint64_t cycles = target.cpu().cycles();
+  ctx.run(400_us);  // enough allowance to finish the guest's loop, were it stepped
+  EXPECT_EQ(target.cpu().cycles(), cycles);
+  EXPECT_FALSE(target.finished());
   target.shutdown();
   ctx.unregister_extension(&ext);
 }
@@ -226,15 +222,10 @@ TEST(DriverTargetFailure, GuestFaultShutsDownCleanly) {
   cosim::DriverTargetConfig config;
   config.write_port = "a";
   config.read_port = "b";
-  config.throttled = false;
   cosim::DriverTarget target("_start:\n  .word 0xffffffff\n", config);
   (void)target.take_data_endpoint();
   (void)target.take_interrupt_endpoint();
-  target.start();
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!target.finished() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  target.budget().deposit(1000);  // the first deposit steps the guest
   EXPECT_TRUE(target.finished());
   EXPECT_EQ(target.last_status(), rtos::RunStatus::Fault);
   target.shutdown();
@@ -251,7 +242,6 @@ TEST(GdbSessionFailure, GuestFaultFinishesExtension) {
   options.instructions_per_us = 1000000;
   cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  target.start();
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) {
     ctx.run(1_us);
@@ -269,32 +259,63 @@ TEST(GdbSessionFailure, ShutdownWhileGuestSpinsForever) {
   options.instructions_per_us = 1000000;
   cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  target.start();
   ctx.run(1_us);
-  target.shutdown();  // must interrupt the free-running guest and join
+  target.shutdown();  // must halt and kill the free-running guest over RSP
   ctx.unregister_extension(&ext);
 }
 
 TEST(GdbSessionFailure, StubExitOnDisconnectClosesBudget) {
-  // The SystemC-side end of the wire disappears: serve() returns on EOF, and
-  // the target thread closes the budget on its way out, so a SystemC side
-  // held by the reverse throttle would be released at once.
-  cosim::GdbTarget target("_start:\n  ebreak\n");
-  target.start();
+  // The SystemC-side end of the wire disappears while the guest runs: the
+  // next deposit's step finds EOF, the stub ends, and the target closes the
+  // budget, so nothing steps the dead session again.
+  cosim::GdbTarget target("_start:\nspin:\n  j spin\n");
+  target.client().cont();
   target.client().channel().close();
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!target.budget().closed() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  target.budget().deposit(100);
+  EXPECT_TRUE(target.stub().done());
   EXPECT_TRUE(target.budget().closed());
   target.shutdown();
 }
 
 TEST(GdbSessionFailure, DoubleShutdownIsIdempotent) {
   cosim::GdbTarget target("_start:\n  ebreak\n");
-  target.start();
   target.shutdown();
+  EXPECT_TRUE(target.stub().done());  // killed over RSP
+  EXPECT_TRUE(target.budget().closed());
   target.shutdown();
+}
+
+TEST(GdbSessionFailure, DuplicatedOkAfterContinueIsStructuredError) {
+  // The stub's reply to the breakpoint insert goes out twice; the copy is
+  // still unread when the extension resumes the target. It is no stop
+  // reply, so the run ends with a structured error at once instead of
+  // reading it as a clean exit with signal 0.
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  sysc::iss_out<std::uint32_t> to_cpu("hw.to_cpu");
+  cosim::GdbTargetConfig config;
+  config.fault_plan.duplicate_send(2);  // send 1 is the one-byte ack
+  cosim::GdbTarget target(R"(
+_start:
+    la t1, in_var
+    #pragma iss_out("hw.to_cpu", in_var)
+    lw t0, 0(t1)
+    ebreak
+in_var: .word 0
+)",
+                          config);
+  cosim::GdbKernelOptions options;
+  options.instructions_per_us = 1000000;
+  cosim::GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
+  ctx.register_extension(&ext);
+  ctx.run(1_us);
+  ASSERT_TRUE(ext.error().has_value());
+  EXPECT_NE(ext.error()->message.find("expected a stop reply"), std::string::npos)
+      << ext.error()->message;
+  EXPECT_EQ(ctx.time_stamp().ps(), 0u);
+  EXPECT_EQ(target.cpu().instret(), 0u);  // the guest never ran
+  target.shutdown();
+  ctx.unregister_extension(&ext);
 }
 
 TEST(GdbSessionFailure, MidFrameDisconnectYieldsStructuredError) {
@@ -307,13 +328,11 @@ TEST(GdbSessionFailure, MidFrameDisconnectYieldsStructuredError) {
   config.fault_plan.disconnect_send(1, 2);
   config.reply_timeout_ms = 500;
   config.io_timeout_ms = 1000;
-  config.throttled = false;
   cosim::GdbTarget target("_start:\n  ebreak\n", config);
   cosim::GdbKernelOptions options;
   options.instructions_per_us = 1000000;
-  cosim::GdbKernelExtension ext(target.client(), nullptr, {}, options);
+  cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  target.start();
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (!ext.error() && !ext.target_finished() &&
          std::chrono::steady_clock::now() < deadline) {

@@ -1,7 +1,9 @@
 // Unit tests for the RV32IM ISS: ISA codec, memory, CPU semantics, debug
 // surface (breakpoints/watchpoints) and the assembler.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -204,6 +206,38 @@ TEST(MemoryTest, ClearZeroes) {
   EXPECT_EQ(mem.read32(0), 0u);
 }
 
+TEST(MemoryTest, MovedMemoryKeepsContents) {
+  Memory a(4096);
+  a.write32(8, 0x12345678);
+  Memory b(std::move(a));
+  EXPECT_EQ(b.size(), 4096u);
+  EXPECT_EQ(b.read32(8), 0x12345678u);
+  Memory c(16);
+  c = std::move(b);
+  EXPECT_EQ(c.size(), 4096u);
+  EXPECT_EQ(c.read32(8), 0x12345678u);
+}
+
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(MemoryTest, GuestMemoryIsZeroFilledOnFirstTouch) {
+  // A 1 MB guest that runs a tiny program touches a page or two. Eagerly
+  // zero-filling all of it would cost 256 page faults (4 KiB pages).
+  const Program prog = assemble("li a0, 7\nebreak\n");
+  const long before = minor_faults();
+  Cpu cpu(1 << 20);
+  prog.load_into(cpu.mem());
+  cpu.reset(prog.entry);
+  EXPECT_EQ(cpu.run(100), Halt::Ebreak);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, 32) << "page faults while building and running a 1 MB CPU";
+  EXPECT_EQ(cpu.mem().read32((1 << 20) - 4), 0u);  // untouched memory reads zero
+}
+
 // ---------------------------------------------------------------- cpu helpers
 
 /// Assembles and runs `source` for at most `max` instructions.
@@ -226,6 +260,10 @@ struct AluCase {
   const char* body;           // program body; result expected in a0
   std::uint32_t expected_a0;
 };
+
+// Print the case by name: gtest's default dumps the struct's raw bytes,
+// pointers included, which makes the ctest names change from run to run.
+void PrintTo(const AluCase& c, std::ostream* os) { *os << c.name; }
 
 class CpuAluTest : public ::testing::TestWithParam<AluCase> {};
 

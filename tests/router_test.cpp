@@ -5,6 +5,7 @@
 
 #include "iss/assembler.hpp"
 #include "iss/cpu.hpp"
+#include "obs/metrics.hpp"
 #include "router/guest_programs.hpp"
 #include "router/testbench.hpp"
 #include "rtos/rtos.hpp"
@@ -308,6 +309,25 @@ TEST(TestbenchTest, ReportAccountsForEveryPacket) {
   EXPECT_GT(r.kernel_delta_cycles, 0u);
 }
 
+TEST(TestbenchTest, ConstructionRunsNoGuestCode) {
+  // A target runs only when the kernel steps it: building a testbench
+  // executes no guest instruction and moves no byte over the wire.
+  for (Scheme scheme : {Scheme::GdbWrapper, Scheme::GdbKernel, Scheme::DriverKernel}) {
+    TestbenchConfig config;
+    config.scheme = scheme;
+    config.packets_per_producer = 1;
+    obs::Counter& instructions = obs::counter("iss.instructions");
+    obs::Counter& sends = obs::counter("ipc.sends");
+    const std::uint64_t instructions_before = instructions.value();
+    const std::uint64_t sends_before = sends.value();
+    Testbench bench(config);
+    EXPECT_EQ(instructions.value(), instructions_before) << scheme_name(scheme);
+    EXPECT_EQ(sends.value(), sends_before) << scheme_name(scheme);
+    bench.run_for(1_us);
+    EXPECT_GT(instructions.value(), instructions_before) << scheme_name(scheme);
+  }
+}
+
 TEST(TestbenchTest, DriverSchemeUsesMessages) {
   TestbenchConfig config;
   config.scheme = Scheme::DriverKernel;
@@ -327,7 +347,7 @@ TEST(TestbenchTest, DriverSchemeUsesMessages) {
 // guest cycles for syscalls/context switches and the cycle-metered time
 // budget turns that into real simulated slowdown.
 TEST(Figure7Shape, OsOverheadLowersForwardingRate) {
-  auto forwarded = [](Scheme scheme) {
+  auto run = [](Scheme scheme) {
     TestbenchConfig config;
     config.scheme = scheme;
     config.packets_per_producer = 15;
@@ -339,12 +359,20 @@ TEST(Figure7Shape, OsOverheadLowersForwardingRate) {
     config.rtos.context_switch_cycles = 120;
     Testbench bench(config);
     bench.run_until_drained(sysc::sc_time(100, sysc::SC_MS));
-    return bench.report().forwarded_pct;
+    return bench.report();
   };
-  double gdb = forwarded(Scheme::GdbKernel);
-  double drv = forwarded(Scheme::DriverKernel);
-  EXPECT_GT(gdb, 90.0);
-  EXPECT_LT(drv, gdb - 10.0);  // the OS overhead is visible
+  const TestbenchReport gdb = run(Scheme::GdbKernel);
+  const TestbenchReport drv = run(Scheme::DriverKernel);
+  EXPECT_GT(gdb.forwarded_pct, 90.0);
+  EXPECT_LT(drv.forwarded_pct, gdb.forwarded_pct - 10.0);  // the OS overhead is visible
+  // Exact goldens: the run is a function of its configuration alone.
+  EXPECT_EQ(gdb.produced, 60u);
+  EXPECT_EQ(gdb.received, 60u);
+  EXPECT_EQ(gdb.kernel_delta_cycles, 30510u);
+  EXPECT_EQ(drv.produced, 60u);
+  EXPECT_EQ(drv.received, 28u);
+  EXPECT_EQ(drv.dropped_input, 32u);
+  EXPECT_EQ(drv.kernel_delta_cycles, 72121u);
 }
 
 // ---------------------------------------------------------------- MPSoC
@@ -417,12 +445,19 @@ TEST(MultiCpuTest, SecondCpuRaisesSaturationThroughput) {
     config.instructions_per_us = 15;  // slow CPUs: checksum is the bottleneck
     Testbench bench(config);
     bench.run_until_drained(sysc::sc_time(200, sysc::SC_MS));
-    return bench.report().forwarded_pct;
+    return bench.report();
   };
-  double one = forwarded_with_cpus(1);
-  double two = forwarded_with_cpus(2);
-  EXPECT_LT(one, 99.0);       // single CPU saturates and drops packets
-  EXPECT_GT(two, one + 5.0);  // a second CPU visibly raises throughput
+  const TestbenchReport one = forwarded_with_cpus(1);
+  const TestbenchReport two = forwarded_with_cpus(2);
+  EXPECT_LT(one.forwarded_pct, 99.0);  // single CPU saturates and drops packets
+  EXPECT_GT(two.forwarded_pct, one.forwarded_pct + 5.0);  // a second CPU visibly raises throughput
+  // Exact goldens.
+  EXPECT_EQ(one.produced, 100u);
+  EXPECT_EQ(one.received, 52u);
+  EXPECT_EQ(one.kernel_delta_cycles, 24429u);
+  EXPECT_EQ(two.produced, 100u);
+  EXPECT_EQ(two.received, 96u);
+  EXPECT_EQ(two.kernel_delta_cycles, 22396u);
 }
 
 TEST(TestbenchTest, WrapperSchemeCountsLockstepSteps) {

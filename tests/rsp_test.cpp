@@ -1,9 +1,6 @@
 // Unit and loopback tests for the GDB Remote Serial Protocol layer.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "ipc/channel.hpp"
 #include "iss/assembler.hpp"
@@ -97,8 +94,8 @@ TEST(PacketTest, MultiplePacketsInOneFeed) {
 
 // ---------------------------------------------------------------- stub+client loopback
 
-/// Test fixture running a GdbStub on a dedicated target thread, as the
-/// co-simulation layer does.
+/// Test fixture hosting a GdbStub as the client's in-process peer, as the
+/// co-simulation layer does: the client's sends and waits step the stub.
 class RspLoopback : public ::testing::Test {
  protected:
   void start(const std::string& program, StubOptions options = {}) {
@@ -110,19 +107,17 @@ class RspLoopback : public ::testing::Test {
 
     auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
     stub_ = std::make_unique<GdbStub>(*cpu_, std::move(pair.a), std::move(options));
+    pair.b.set_inline_peer([this] { stub_->poll(); });
     client_ = std::make_unique<GdbClient>(std::move(pair.b));
-    target_thread_ = std::thread([this] { stub_->serve(); });
   }
 
   void TearDown() override {
-    if (target_thread_.joinable()) {
-      if (client_) {
-        if (client_->running()) client_->interrupt();
-        // Drain any pending stop reply so 'k' is seen while halted.
-        if (client_->running()) client_->wait_stop(1000);
-        client_->kill();
-      }
-      target_thread_.join();
+    if (client_) {
+      if (client_->running()) client_->interrupt();
+      // Drain any pending stop reply so 'k' is seen while halted.
+      if (client_->running()) client_->wait_stop(1000);
+      client_->kill();
+      EXPECT_TRUE(stub_->done());
     }
   }
 
@@ -132,7 +127,6 @@ class RspLoopback : public ::testing::Test {
   std::unique_ptr<GdbStub> stub_;
   std::unique_ptr<GdbClient> client_;
   std::map<std::string, std::uint32_t> symbols_;
-  std::thread target_thread_;
 };
 
 TEST_F(RspLoopback, QueryHaltReason) {
@@ -222,19 +216,21 @@ TEST_F(RspLoopback, PollStopIsNonBlocking) {
       ebreak
   )");
   client_->cont();
-  // Immediately after cont the target is still spinning.
-  (void)client_->poll_stop();  // may or may not be stopped yet, but must not block
+  // The stub ran one slice on the 'c'; the guest is still spinning, and the
+  // check must neither block nor step the stub.
+  EXPECT_FALSE(client_->poll_stop().has_value());
+  const std::uint64_t instret = cpu_->instret();
+  EXPECT_FALSE(client_->poll_stop().has_value());
+  EXPECT_EQ(cpu_->instret(), instret);
+  // Step the stub as a host does between checks, until the ebreak stop.
   std::optional<StopReply> stop;
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!stop && std::chrono::steady_clock::now() < deadline) {
-    if (client_->running()) {
-      stop = client_->poll_stop();
-      if (!stop) std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
+  for (int polls = 0; !stop && polls < 1000; ++polls) {
+    stub_->poll();
+    stop = client_->poll_stop();
   }
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 5);
-  EXPECT_GT(client_->stats().stop_polls, 0u);
+  EXPECT_GT(client_->stats().stop_polls, 2u);
 }
 
 TEST_F(RspLoopback, WatchpointReportsAddress) {
@@ -283,7 +279,7 @@ TEST_F(RspLoopback, IllegalInstructionSignalsSigill) {
 }
 
 TEST_F(RspLoopback, ThrottleCallbackMetersExecution) {
-  std::atomic<std::uint64_t> granted{0};
+  std::uint64_t granted = 0;
   StubOptions options;
   options.quantum = 64;
   options.acquire_quantum = [&granted](std::uint64_t want) {
@@ -300,7 +296,7 @@ TEST_F(RspLoopback, ThrottleCallbackMetersExecution) {
   client_->cont();
   auto stop = client_->wait_stop(2000);
   ASSERT_TRUE(stop.has_value());
-  EXPECT_GE(granted.load(), 2000u);  // ~2001 instructions executed in 64-slices
+  EXPECT_GE(granted, 2000u);  // ~2001 instructions executed in 64-slices
 }
 
 TEST_F(RspLoopback, RunQuantumExecutesBoundedSlice) {
@@ -337,6 +333,31 @@ TEST_F(RspLoopback, RunQuantumStopsAtBreakpoint) {
 TEST_F(RspLoopback, RunQuantumRejectsMalformedCount) {
   start("ebreak\n");
   EXPECT_EQ(client_->transact("qnisc.run:zz"), "E01");
+}
+
+TEST(GdbClientStopTest, OnlyStopPacketsEndAContinue) {
+  // A peer that replays a stale reply after 'c' (say, a duplicated "OK" of
+  // the breakpoint insert before it) must not read as a stop with signal 0.
+  auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
+  GdbClient client(std::move(pair.b), ClientOptions{/*reply_timeout_ms=*/500});
+  client.cont();
+  std::uint8_t request[16];
+  pair.a.recv_exact(std::span<std::uint8_t>(request, frame_packet("c").size()));
+
+  pair.a.send_str(frame_packet("OK"));
+  EXPECT_THROW(client.poll_stop(), util::RuntimeError);
+  EXPECT_TRUE(client.running());
+  pair.a.send_str(frame_packet(""));
+  EXPECT_THROW(client.wait_stop(500), util::RuntimeError);
+  pair.a.send_str(frame_packet("E01"));
+  EXPECT_THROW(client.wait_stop(500), util::RuntimeError);
+  EXPECT_TRUE(client.running());
+
+  pair.a.send_str(frame_packet("T05"));
+  auto stop = client.wait_stop(500);
+  ASSERT_TRUE(stop.has_value());
+  EXPECT_EQ(stop->signal, 5);
+  EXPECT_FALSE(client.running());
 }
 
 TEST_F(RspLoopback, StatsCountTraffic) {
