@@ -1,7 +1,7 @@
 // CosimError: structured failure record for a co-simulation scheme.
 //
 // When a scheme's IPC boundary dies (peer gone, corrupted stream the
-// protocol could not recover, reply deadline blown), the extension ends the
+// protocol could not recover, reply that never came), the extension ends the
 // simulation gracefully and leaves one of these behind instead of crashing:
 // what failed, on which scheme, plus a post-mortem of the last wire
 // transfers — both human-readable and as a frame dump `cosim_lint --frames`

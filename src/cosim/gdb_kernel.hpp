@@ -60,7 +60,7 @@ class GdbKernelExtension : public sysc::kernel_extension {
   /// True once the guest program hit its final ebreak (or faulted).
   bool target_finished() const noexcept { return finished_; }
 
-  /// Set when the scheme died on its IPC boundary (reply deadline blown,
+  /// Set when the scheme died on its IPC boundary (a reply that never came,
   /// peer gone): the simulation was stopped gracefully and this carries the
   /// wire post-mortem.
   const std::optional<CosimError>& error() const noexcept { return error_; }

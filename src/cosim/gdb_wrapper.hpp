@@ -58,7 +58,7 @@ class GdbWrapperModule : public sysc::sc_module {
 
   bool target_finished() const noexcept { return finished_; }
 
-  /// Set when the lock-step transport died (reply deadline blown, peer
+  /// Set when the lock-step transport died (a reply that never came, peer
   /// gone): the simulation was stopped and this carries the wire
   /// post-mortem.
   const std::optional<CosimError>& error() const noexcept { return error_; }

@@ -12,6 +12,13 @@ constexpr std::uint64_t kStubQuantum = 1024;
 /// Transfers each session's wire capture keeps for post-mortems.
 constexpr std::size_t kCaptureFrames = 32;
 
+/// Both ends of a session wire run on the kernel thread, so a transfer that
+/// cannot complete now never will: fail it at once instead of waiting.
+void fail_fast(ipc::ChannelPair& pair) {
+  pair.a.set_io_timeout(0);
+  pair.b.set_io_timeout(0);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -28,19 +35,16 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   cpu_->reset(program_.entry);
 
   ipc::ChannelPair pair = ipc::make_channel_pair(config_.transport);
-  pair.a.set_io_timeout(config_.io_timeout_ms);
-  pair.b.set_io_timeout(config_.io_timeout_ms);
+  fail_fast(pair);
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(pair.a, config_.fault_plan);
   }
-  if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("gdb", kCaptureFrames);
-    pair.b.attach_capture(capture_);
-  }
+  capture_ = std::make_shared<ipc::WireCapture>("gdb", kCaptureFrames);
+  pair.b.attach_capture(capture_);
   if (config_.wire_observer) pair.b.attach_observer(config_.wire_observer);
   pair.b.set_inline_peer([this] {
     unread_ = true;
-    step();
+    return step();
   });
   rsp::StubOptions stub_options;
   stub_options.quantum = kStubQuantum;
@@ -50,19 +54,19 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   budget_.set_idle(true);  // the stub starts halted
   budget_.set_consumer([this] { step(); });
   stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(pair.a), std::move(stub_options));
-  client_ = std::make_unique<rsp::GdbClient>(std::move(pair.b),
-                                             rsp::ClientOptions{config_.reply_timeout_ms});
+  client_ = std::make_unique<rsp::GdbClient>(std::move(pair.b));
 }
 
 GdbTarget::~GdbTarget() { shutdown(); }
 
-void GdbTarget::step() {
-  if (!unread_ && !stub_->running()) return;
+bool GdbTarget::step() {
+  if (!unread_ && !stub_->running()) return false;
   // A suppressed or short read can leave part of a request behind: keep
-  // stepping at each deposit until a step that finds no work also finds the
-  // wire drained.
-  if (!stub_->poll() && unread_) unread_ = stub_->input_pending();
+  // stepping until a step that finds no work also finds the wire drained.
+  const bool worked = stub_->poll();
+  if (!worked && unread_) unread_ = stub_->input_pending();
   if (stub_->done()) budget_.close();  // killed, detached or disconnected
+  return worked || unread_;
 }
 
 void GdbTarget::shutdown() {
@@ -73,7 +77,7 @@ void GdbTarget::shutdown() {
   try {
     if (client_->running()) {
       client_->interrupt();
-      client_->wait_stop(2000);
+      client_->wait_stop();
     }
     client_->kill();
   } catch (const util::RuntimeError&) {
@@ -96,21 +100,17 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
 
   ipc::ChannelPair data = ipc::make_channel_pair(config_.transport);
   ipc::ChannelPair irq = ipc::make_channel_pair(config_.transport);
-  data.a.set_io_timeout(config_.io_timeout_ms);
-  data.b.set_io_timeout(config_.io_timeout_ms);
-  irq.a.set_io_timeout(config_.io_timeout_ms);
-  irq.b.set_io_timeout(config_.io_timeout_ms);
+  fail_fast(data);
+  fail_fast(irq);
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(data.b, config_.fault_plan);
   }
-  if (config_.capture_wire) {
-    capture_ = std::make_shared<ipc::WireCapture>("drv-data", kCaptureFrames);
-    data.a.attach_capture(capture_);
-  }
+  capture_ = std::make_shared<ipc::WireCapture>("drv-data", kCaptureFrames);
+  data.a.attach_capture(capture_);
   if (config_.wire_observer) data.a.attach_observer(config_.wire_observer);
   if (config_.irq_observer) irq.b.attach_observer(config_.irq_observer);
-  data.a.set_inline_peer([this] { on_data_sent(); });
-  irq.a.set_inline_peer([this] { on_interrupt_sent(); });
+  data.a.set_inline_peer([this] { return on_data_sent(); });
+  irq.a.set_inline_peer([this] { return on_interrupt_sent(); });
   data_kernel_side_ = std::move(data.a);
   irq_kernel_side_ = std::move(irq.a);
   irq_target_side_ = std::move(irq.b);
@@ -133,12 +133,12 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
   return std::move(irq_kernel_side_);
 }
 
-void DriverTarget::on_data_sent() {
+bool DriverTarget::on_data_sent() {
   unread_ = true;
-  step();
+  return step();
 }
 
-void DriverTarget::on_interrupt_sent() {
+bool DriverTarget::on_interrupt_sent() {
   // The paper's "thread that listens to the interrupts generated from the
   // SystemC device" (§4.1), run inline: queue each irq for ISR dispatch and
   // report the acknowledge edge of the DriverIrq automaton.
@@ -152,7 +152,7 @@ void DriverTarget::on_interrupt_sent() {
   } catch (const util::RuntimeError&) {
     // Interrupt socket closed (the port quiesced): nothing more to deliver.
   }
-  step();
+  return step();
 }
 
 bool DriverTarget::wake_pending() {
@@ -161,44 +161,47 @@ bool DriverTarget::wake_pending() {
   return unread_;
 }
 
-void DriverTarget::step() {
+bool DriverTarget::step() {
+  bool ran = false;
   while (!finished_ && !budget_.closed()) {
     debt_ -= budget_.acquire(debt_);
-    if (debt_ > 0) return;  // the last slice is not paid for yet
+    if (debt_ > 0) return ran;  // the last slice is not paid for yet
     const bool was_idle = last_status_ == rtos::RunStatus::Idle;
     if (was_idle) {
       // Every guest thread waits on a device read: the CPU idles, burning
       // its allowance, until the kernel sends it something.
       if (!wake_pending()) {
         budget_.set_idle(true);
-        return;
+        return ran;
       }
       budget_.set_idle(false);
     }
     const std::uint64_t cycles_before = cpu_->cycles();
     last_status_ = kernel_->run(kRunQuantum);
+    ran = true;
     debt_ = cpu_->cycles() - cycles_before;
     switch (last_status_) {
       case rtos::RunStatus::AllDone:
         finished_ = true;
-        return;
+        return ran;
       case rtos::RunStatus::Fault:
         NISC_ERROR("driver-target") << "guest fault: "
                                     << iss::halt_name(kernel_->last_fault());
         finished_ = true;
-        return;
+        return ran;
       case rtos::RunStatus::Idle:
         if (was_idle && debt_ == 0) {
           // Woken, but the driver read nothing (say, its poll was
           // suppressed): retry at the next deposit.
           budget_.set_idle(true);
-          return;
+          return ran;
         }
         break;
       case rtos::RunStatus::Budget:
         break;
     }
   }
+  return ran;
 }
 
 }  // namespace nisc::cosim

@@ -11,6 +11,12 @@
 // each TimeBudget deposit (it spends the allowance at once), and whenever a
 // kernel-side endpoint sends to it or waits for its reply (the endpoint's
 // inline-peer hook). No guest code runs before the first deposit or send.
+//
+// No wait on a session wire keeps a clock: a reply that is not on the wire
+// once the target's step goes idle never comes, so the wait fails at once,
+// and every endpoint has I/O timeout 0 (a cut frame or a full pipe fails on
+// the spot). Every session captures its kernel-side wire traffic for
+// post-mortems.
 #pragma once
 
 #include <memory>
@@ -40,15 +46,9 @@ struct GdbTargetConfig {
   /// Fault-injection plan installed on the stub-side endpoint (empty =
   /// healthy transport, zero overhead).
   ipc::FaultPlan fault_plan;
-  /// Ring-buffer the client-side wire traffic for post-mortems.
-  bool capture_wire = true;
   /// Live wire tap on the client-side endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
-  /// Client reply deadline (see rsp::ClientOptions).
-  int reply_timeout_ms = 10000;
-  /// Hard deadline on every blocking channel send/recv.
-  int io_timeout_ms = 30000;
 };
 
 class GdbTarget {
@@ -69,7 +69,7 @@ class GdbTarget {
 
   /// Fault-injection stats handle (null without a fault_plan).
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Client-side wire capture (null when capture_wire is off).
+  /// Client-side wire capture.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
 
   iss::Cpu& cpu() noexcept { return *cpu_; }
@@ -78,7 +78,9 @@ class GdbTarget {
   /// runs, spends the budget's allowance. A halted stub with no unread
   /// request has nothing to do and is skipped. A stub that ended closes the
   /// budget. Called by budget deposits and by the client's inline-peer hook.
-  void step();
+  /// Returns false when the stub is idle: it did nothing and holds no
+  /// unread request.
+  bool step();
 
   /// Halts and kills the stub over RSP, then closes the budget (idempotent).
   void shutdown();
@@ -110,8 +112,6 @@ struct DriverTargetConfig {
   std::string read_port;
   /// Fault-injection plan installed on the driver-side data endpoint.
   ipc::FaultPlan fault_plan;
-  /// Ring-buffer the kernel-side data traffic for post-mortems.
-  bool capture_wire = true;
   /// Live wire tap on the kernel-side data endpoint (e.g. an
   /// analysis::LiveConformanceMonitor); null = none.
   std::shared_ptr<ipc::WireObserver> wire_observer;
@@ -120,8 +120,6 @@ struct DriverTargetConfig {
   /// RTOS took the irq, i.e. exactly the DriverIrq automaton's alphabet (no
   /// flip_direction needed).
   std::shared_ptr<ipc::WireObserver> irq_observer;
-  /// Hard deadline on every blocking channel send/recv.
-  int io_timeout_ms = 30000;
 };
 
 class DriverTarget {
@@ -150,7 +148,7 @@ class DriverTarget {
 
   /// Fault-injection stats handle (null without a fault_plan).
   const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Kernel-side data-port wire capture (null when capture_wire is off).
+  /// Kernel-side data-port wire capture.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
 
   /// Runs the guest as far as the allowance reaches. Pay-after accounting in
@@ -160,7 +158,8 @@ class DriverTarget {
   /// previous one is paid for, and its cycle cost is debt that later
   /// deposits settle. A guest whose threads all wait on device reads runs
   /// again only when the kernel sent it bytes it has not read, or an irq.
-  void step();
+  /// Returns true when it ran the guest.
+  bool step();
 
   /// Ends stepping by closing the budget (idempotent).
   void shutdown() { budget_.close(); }
@@ -171,8 +170,8 @@ class DriverTarget {
 
  private:
   /// Inline-peer hooks of the kernel-side data and interrupt endpoints.
-  void on_data_sent();
-  void on_interrupt_sent();
+  bool on_data_sent();
+  bool on_interrupt_sent();
   bool wake_pending();
 
   DriverTargetConfig config_;

@@ -15,7 +15,6 @@
 #include "ipc/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/deadline.hpp"
 #include "util/error.hpp"
 
 namespace nisc::ipc {
@@ -130,22 +129,15 @@ void Channel::notify_observer(std::string_view tag) {
 }
 
 bool Channel::readable(int timeout_ms) {
-  if (faults_ && faults_->suppress_poll()) {
-    // Storm in progress: report "nothing there" but do not busy-spin the
-    // caller's poll loop.
-    if (timeout_ms != 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::min(timeout_ms < 0 ? 1 : timeout_ms, 1)));
-    }
-    return false;
-  }
+  // Storm in progress: report "nothing there", however long the caller
+  // would wait.
+  if (faults_ && faults_->suppress_poll()) return false;
   if (!inline_peer_ || timeout_ms == 0) return poll_readable(read_fd_, timeout_ms);
-  // The peer runs on this thread: waiting without stepping it would only
-  // burn the timeout.
-  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
+  // The peer runs on this thread: step it until it wrote something. A step
+  // that reports idle wrote nothing, and no later one would either.
   for (;;) {
     if (poll_readable(read_fd_, 0)) return true;
-    if (deadline.expired()) return false;
-    inline_peer_();
+    if (!inline_peer_()) return false;
   }
 }
 
@@ -273,10 +265,7 @@ Channel TcpListener::try_accept() {
   return accept(0);
 }
 
-namespace {
-
-/// One connect attempt; returns an invalid Fd on ECONNREFUSED (retryable).
-Fd tcp_connect_once(std::uint16_t port) {
+Channel tcp_connect(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw RuntimeError(std::string("socket: ") + std::strerror(errno));
   Fd sock(fd);
@@ -290,35 +279,10 @@ Fd tcp_connect_once(std::uint16_t port) {
     rc = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) {
-    if (errno == ECONNREFUSED) return Fd();
     throw RuntimeError(std::string("connect port ") + std::to_string(port) + ": " +
                        std::strerror(errno));
   }
-  return sock;
-}
-
-}  // namespace
-
-Channel tcp_connect(std::uint16_t port) {
-  Fd sock = tcp_connect_once(port);
-  if (!sock.valid()) {
-    throw RuntimeError("connect port " + std::to_string(port) + ": Connection refused");
-  }
   return finish_tcp_socket(std::move(sock));
-}
-
-Channel tcp_connect(std::uint16_t port, const RetryPolicy& policy) {
-  Backoff backoff(policy);
-  for (;;) {
-    Fd sock = tcp_connect_once(port);
-    if (sock.valid()) return finish_tcp_socket(std::move(sock));
-    int delay = backoff.next_delay_ms();
-    if (delay < 0) {
-      throw RuntimeError("connect port " + std::to_string(port) + ": Connection refused after " +
-                         std::to_string(backoff.attempts_made()) + " attempt(s)");
-    }
-    backoff_sleep_ms(delay);
-  }
 }
 
 const char* transport_name(Transport transport) noexcept {

@@ -10,12 +10,15 @@
 //     transfers, dumpable as a `cosim_lint --frames` post-mortem;
 //   - a WireObserver (ipc/capture.hpp): a live tap seeing every transfer as
 //     it happens (the protocol conformance monitor attaches here).
-// Blocking sends/receives are bounded by a per-channel I/O timeout; all
-// channel descriptors are O_NONBLOCK so write deadlines are enforceable.
+// A raw channel blocks on its transfers, or bounds them by a per-channel I/O
+// timeout when its peer runs on another thread or in another process.
 //
 // An endpoint whose peer is an in-process target (an ISS stub or RTOS that
-// runs on this endpoint's thread) carries an inline-peer hook: the peer then
-// runs whenever this side sends to it or waits for its reply.
+// runs on this endpoint's thread) carries an inline-peer hook instead of a
+// clock: the peer runs whenever this side sends to it or waits for its
+// reply, and a wait ends when the peer goes idle. Nothing can complete a
+// transfer while this thread waits, so such endpoints use I/O timeout 0: a
+// cut frame or a full pipe fails at once.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +28,6 @@
 #include <string_view>
 
 #include "ipc/fd.hpp"
-#include "ipc/retry.hpp"
 
 namespace nisc::ipc {
 
@@ -51,23 +53,26 @@ class Channel {
   /// Hard deadline (ms) for each blocking send/recv_exact; < 0 waits
   /// forever (the raw-channel default: one read/write syscall per
   /// transfer). A finite deadline switches the descriptors to non-blocking
-  /// so every wait can be bounded by poll — the co-simulation sessions
-  /// install one on every endpoint they create.
+  /// so every wait can be bounded by poll; 0 fails a transfer that cannot
+  /// complete at once (the in-process sessions' setting).
   void set_io_timeout(int timeout_ms);
   int io_timeout() const noexcept { return io_timeout_ms_; }
 
   void send(std::span<const std::uint8_t> data);
   void send_str(const std::string& s);
   void recv_exact(std::span<std::uint8_t> out);
-  /// With an inline peer and a non-zero timeout, steps the peer until it
-  /// has written something or the timeout expired; 0 only polls.
+  /// Without an inline peer, polls for up to `timeout_ms` (< 0: forever).
+  /// With one, any non-zero timeout steps the peer until it has written
+  /// something (true) or a step reports it idle (false); 0 only polls.
   bool readable(int timeout_ms = 0);
   std::size_t recv_some(std::span<std::uint8_t> out);
 
   /// Installs the step of an in-process peer: run after every send() and
   /// while readable() waits, so the peer consumes what this side sent and
-  /// writes its reply on the caller's thread.
-  void set_inline_peer(std::function<void()> step) { inline_peer_ = std::move(step); }
+  /// writes its reply on the caller's thread. The step returns true when the
+  /// peer did work or still holds unread input, and false when it is idle:
+  /// stepping it again would write nothing, so nothing more will arrive.
+  void set_inline_peer(std::function<bool()> step) { inline_peer_ = std::move(step); }
 
   /// Installs a fault plan state (normally via FaultyChannel::install).
   void attach_faults(std::shared_ptr<FaultState> faults) noexcept { faults_ = std::move(faults); }
@@ -111,7 +116,7 @@ class Channel {
   std::shared_ptr<FaultState> faults_;
   std::shared_ptr<WireCapture> capture_;
   std::shared_ptr<WireObserver> observer_;  // atomic_load/atomic_store only
-  std::function<void()> inline_peer_;
+  std::function<bool()> inline_peer_;
 };
 
 /// Two channel endpoints wired back-to-back.
@@ -151,11 +156,8 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-/// Connects to a loopback TCP listener. The second overload retries refused
-/// connections under `policy` (exponential backoff with seeded jitter) —
-/// the Driver-Kernel guest may boot before the SystemC side is listening.
+/// Connects to a loopback TCP listener; throws when nobody listens.
 Channel tcp_connect(std::uint16_t port);
-Channel tcp_connect(std::uint16_t port, const RetryPolicy& policy);
 
 /// Human-readable transport name (for bench output).
 const char* transport_name(Transport transport) noexcept;

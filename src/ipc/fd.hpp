@@ -52,7 +52,8 @@ class Fd {
 
 /// Writes all of `data`, retrying on EINTR and short writes. Throws
 /// RuntimeError on error, EOF (peer closed), or when the whole transfer has
-/// not completed within `timeout_ms` (< 0 waits forever).
+/// not completed within `timeout_ms` (< 0 waits forever; 0 fails as soon as
+/// the descriptor would block).
 void write_all(const Fd& fd, std::span<const std::uint8_t> data, int timeout_ms = -1);
 
 /// Reads exactly `out.size()` bytes. Throws RuntimeError on error/EOF or

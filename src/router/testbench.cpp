@@ -48,8 +48,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         cosim::GdbTargetConfig tc;
         tc.transport = config_.transport.value_or(ipc::Transport::Pipe);
         tc.fault_plan = config_.fault_plan;
-        tc.reply_timeout_ms = config_.reply_timeout_ms;
-        tc.io_timeout_ms = config_.io_timeout_ms;
         tc.wire_observer = config_.wire_observer;
         auto target = std::make_unique<cosim::GdbTarget>(
             word_stream_checksum_source(router_->to_cpu_port_name(cpu),
@@ -68,8 +66,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         cosim::GdbTargetConfig tc;
         tc.transport = config_.transport.value_or(ipc::Transport::Pipe);
         tc.fault_plan = config_.fault_plan;
-        tc.reply_timeout_ms = config_.reply_timeout_ms;
-        tc.io_timeout_ms = config_.io_timeout_ms;
         tc.wire_observer = config_.wire_observer;
         auto target = std::make_unique<cosim::GdbTarget>(
             word_stream_checksum_source(router_->to_cpu_port_name(cpu),
@@ -90,7 +86,6 @@ Testbench::Testbench(TestbenchConfig config) : config_(config) {
         dc.transport = config_.transport.value_or(ipc::Transport::SocketPair);
         dc.rtos = config_.rtos;
         dc.fault_plan = config_.fault_plan;
-        dc.io_timeout_ms = config_.io_timeout_ms;
         dc.wire_observer = config_.wire_observer;
         dc.irq_observer = config_.irq_observer;
         dc.write_port = router_->from_cpu_port_name(cpu);

@@ -56,11 +56,6 @@ struct TestbenchConfig {
   /// Live wire tap on every Driver-Kernel session's target-side interrupt
   /// endpoint (the DriverIrq automaton's channel). Shared; null = none.
   std::shared_ptr<ipc::WireObserver> irq_observer;
-  /// Resilience knobs forwarded to each session (see cosim::GdbTargetConfig
-  /// / DriverTargetConfig). Matrix tests shrink these so every fault cell
-  /// settles quickly.
-  int reply_timeout_ms = 10000;
-  int io_timeout_ms = 30000;
 };
 
 struct TestbenchReport {

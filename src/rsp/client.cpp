@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 #include "util/strings.hpp"
@@ -11,25 +10,20 @@ namespace nisc::rsp {
 
 using util::RuntimeError;
 
-GdbClient::GdbClient(ipc::Channel channel, ClientOptions options)
-    : channel_(std::move(channel)), options_(options) {}
+GdbClient::GdbClient(ipc::Channel channel) : channel_(std::move(channel)) {}
 
 void GdbClient::send_frame(const std::string& payload) {
   last_frame_ = frame_packet(payload);
   channel_.send_str(last_frame_);
 }
 
-void GdbClient::pump(bool blocking, int timeout_ms) {
+void GdbClient::pump() {
   std::uint8_t buf[512];
-  if (blocking) {
-    if (!channel_.readable(timeout_ms)) return;
-  }
   std::size_t n = channel_.recv_some(buf);
   if (n > 0) reader_.feed(std::span<const std::uint8_t>(buf, n));
 }
 
 std::string GdbClient::await_reply() {
-  const util::Deadline deadline = util::Deadline::after_ms(options_.reply_timeout_ms);
   for (;;) {
     while (auto event = reader_.next()) {
       switch (event->kind) {
@@ -45,11 +39,11 @@ std::string GdbClient::await_reply() {
           break;  // not expected on the client side
       }
     }
-    if (deadline.expired()) {
-      throw RuntimeError("GdbClient: no reply to " + last_frame_ + " within " +
-                         std::to_string(options_.reply_timeout_ms) + " ms");
+    // The wait steps an in-process stub; one that goes idle will not reply.
+    if (!channel_.readable(-1)) {
+      throw RuntimeError("GdbClient: no reply to " + last_frame_ + ": the stub went idle");
     }
-    pump(/*blocking=*/true, deadline.remaining_ms());
+    pump();
   }
 }
 
@@ -193,7 +187,7 @@ StopReply GdbClient::take_stop(const std::string& payload) {
 std::optional<StopReply> GdbClient::poll_stop() {
   util::require(running_, "GdbClient::poll_stop while target halted");
   ++stats_.stop_polls;
-  pump(/*blocking=*/false);
+  pump();
   while (auto event = reader_.next()) {
     if (event->kind == RspEventKind::Packet) return take_stop(event->payload);
     // Acks/Naks between frames are ignored while running.
@@ -201,18 +195,15 @@ std::optional<StopReply> GdbClient::poll_stop() {
   return std::nullopt;
 }
 
-std::optional<StopReply> GdbClient::wait_stop(int timeout_ms) {
+std::optional<StopReply> GdbClient::wait_stop() {
   util::require(running_, "GdbClient::wait_stop while target halted");
-  // A single deadline bounds the whole wait: re-polling after stray acks or
-  // partial frames must not re-arm the full timeout (it used to).
-  const util::Deadline deadline = util::Deadline::after_ms(timeout_ms);
   for (;;) {
     ++stats_.stop_polls;
     while (auto event = reader_.next()) {
       if (event->kind == RspEventKind::Packet) return take_stop(event->payload);
     }
-    if (deadline.expired()) return std::nullopt;
-    if (channel_.readable(deadline.remaining_ms())) pump(/*blocking=*/false);
+    if (!channel_.readable(-1)) return std::nullopt;  // the stub went idle
+    pump();
   }
 }
 

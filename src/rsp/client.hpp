@@ -32,21 +32,18 @@ struct ClientStats {
   std::uint64_t stops_received = 0;
 };
 
-struct ClientOptions {
-  /// Hard deadline for each synchronous reply (transact/step/run_quantum);
-  /// < 0 waits forever. On expiry the client throws RuntimeError naming the
-  /// unanswered request — a hung stub can no longer hang the SystemC side.
-  int reply_timeout_ms = 10000;
-};
-
 class GdbClient {
  public:
-  explicit GdbClient(ipc::Channel channel, ClientOptions options = {});
+  /// When the stub runs on this thread, its step is the channel's inline
+  /// peer (ipc::Channel::set_inline_peer): every wait steps the stub, and a
+  /// stub that goes idle without replying counts as dead.
+  explicit GdbClient(ipc::Channel channel);
 
   // -- raw protocol ---------------------------------------------------------
 
   /// Sends a command and waits for its reply (handles acks/retransmits).
-  /// Must not be called while the target is running.
+  /// Throws RuntimeError naming the unanswered request when the stub goes
+  /// idle without replying. Must not be called while the target is running.
   std::string transact(const std::string& payload);
 
   // -- typed helpers ----------------------------------------------------------
@@ -81,9 +78,9 @@ class GdbClient {
   std::optional<StopReply> poll_stop();
 
   /// Waits until the target stops, stepping an in-process peer meanwhile
-  /// (see ipc::Channel::set_inline_peer). `timeout_ms` < 0 waits forever.
-  /// Returns nullopt on timeout; throws like poll_stop on a non-stop packet.
-  std::optional<StopReply> wait_stop(int timeout_ms = -1);
+  /// (see ipc::Channel::set_inline_peer). Returns nullopt when that peer goes
+  /// idle without stopping; throws like poll_stop on a non-stop packet.
+  std::optional<StopReply> wait_stop();
 
   /// Single-steps and returns the stop reply.
   StopReply step();
@@ -108,14 +105,14 @@ class GdbClient {
 
  private:
   void send_frame(const std::string& payload);
-  void pump(bool blocking, int timeout_ms = -1);
+  /// Feeds whatever the transport holds now to the packet reader.
+  void pump();
   std::string await_reply();
   /// Acks a packet received while running and returns it as the stop.
   StopReply take_stop(const std::string& payload);
   static StopReply parse_stop(const std::string& payload);
 
   ipc::Channel channel_;
-  ClientOptions options_;
   PacketReader reader_;
   bool running_ = false;
   std::string last_frame_;

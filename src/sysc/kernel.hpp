@@ -257,8 +257,9 @@ class kernel_extension {
   virtual void on_time_advance(sc_simcontext&, const sc_time& now) { (void)now; }
   /// Called when the kernel would otherwise starve (nothing runnable, no
   /// pending notifications) before the end of the run window. An extension
-  /// expecting external activity (e.g. the ISS is still executing) may block
-  /// for it, inject events, and return true to keep the run alive.
+  /// expecting external activity (e.g. the ISS is still executing) may step
+  /// it, inject the events it produced, and return true to keep the run
+  /// alive.
   virtual bool on_starvation(sc_simcontext&) { return false; }
   /// When run() returns.
   virtual void on_run_end(sc_simcontext&) {}

@@ -1,9 +1,11 @@
 // Monotonic deadline arithmetic for bounded blocking calls.
 //
-// Every blocking path in the co-simulation stack (IPC polls, RSP replies,
-// budget waits, session joins) is expressed against a Deadline so that
-// EINTR retries and partial progress never silently extend the total wait
-// (see ipc::poll_readable for the bug class this prevents).
+// Every bounded wait on a peer behind a clock (another thread or process:
+// raw-channel polls and transfers under an I/O timeout, the supervisor's
+// worker wire) is expressed against a Deadline so that EINTR retries and
+// partial progress never silently extend the total wait (see
+// ipc::poll_readable for the bug class this prevents). In-process session
+// waits keep no clock: they end when the stepped peer goes idle.
 #pragma once
 
 #include <chrono>

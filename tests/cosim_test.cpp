@@ -2,8 +2,6 @@
 // end-to-end runs of the GDB-Kernel, GDB-Wrapper and Driver-Kernel schemes.
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "cosim/driver_kernel.hpp"
 #include "cosim/gdb_kernel.hpp"
 #include "cosim/gdb_wrapper.hpp"
@@ -196,9 +194,9 @@ TEST(GdbKernelTest, SingleShotRoundTrip) {
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
 
-  { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
+  while (!ext.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(100_ns);
   EXPECT_TRUE(ext.target_finished());
+  EXPECT_EQ(ctx.time_stamp().ps(), 100000u);
   EXPECT_EQ(from_cpu.read(), 42u);
   EXPECT_EQ(ext.stats().values_from_sc, 1u);
   EXPECT_EQ(ext.stats().values_to_sc, 1u);
@@ -225,9 +223,9 @@ TEST(GdbKernelTest, IssProcessWakesOnDelivery) {
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
 
-  { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
+  while (!ext.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(100_ns);
   ASSERT_TRUE(ext.target_finished());
+  EXPECT_EQ(ctx.time_stamp().ps(), 100000u);
   // The iss_process ran exactly once: when data actually crossed the
   // boundary (paper §3.1).
   EXPECT_EQ(results, (std::vector<std::uint32_t>{10}));
@@ -279,9 +277,9 @@ out_var: .word 0
   GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
   ctx.register_extension(&ext);
 
-  { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
+  while (!ext.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(100_ns);
   ASSERT_TRUE(ext.target_finished());
+  EXPECT_EQ(ctx.time_stamp().ps(), 100000u);
   // The freshness gate makes the handshake lossless and deterministic: each
   // injected input is consumed exactly once.
   EXPECT_EQ(results, (std::vector<std::uint32_t>{101, 102, 103, 104, 105}));
@@ -315,9 +313,9 @@ TEST(GdbWrapperTest, SingleShotRoundTrip) {
                                                options);
   wrapper.clk.bind(clk.signal());
 
-  { auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!wrapper.target_finished() && std::chrono::steady_clock::now() < deadline) ctx.run(100_ns); }
+  while (!wrapper.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(100_ns);
   EXPECT_TRUE(wrapper.target_finished());
+  EXPECT_EQ(ctx.time_stamp().ps(), 100000u);
   EXPECT_EQ(from_cpu.read(), 42u);
   EXPECT_EQ(wrapper.stats().values_from_sc, 1u);
   EXPECT_EQ(wrapper.stats().values_to_sc, 1u);
@@ -370,13 +368,10 @@ struct DriverFixture : ::testing::Test {
     ctx->register_extension(ext.get());
   }
 
+  /// Runs until the guest finished, for at most 1 ms of simulated time: a
+  /// session that never finishes fails the test instead of hanging it.
   void run_until_finished() {
-    // Bound by wall clock so a session that never finishes fails the test
-    // instead of hanging it.
-    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    while (!target->finished() && std::chrono::steady_clock::now() < deadline) {
-      ctx->run(100_ns);
-    }
+    while (!target->finished() && ctx->time_stamp() < 1_ms) ctx->run(100_ns);
   }
 
   void TearDown() override {
@@ -397,6 +392,7 @@ TEST_F(DriverFixture, ReadIncrementWriteRoundTrip) {
   to_cpu->write(41);  // pushed to the driver at the end of the first cycle
   run_until_finished();
   ASSERT_TRUE(target->finished());
+  EXPECT_EQ(ctx->time_stamp().ps(), 100000u);
   EXPECT_EQ(target->last_status(), rtos::RunStatus::AllDone);
   EXPECT_EQ(from_cpu->read(), 42u);
   EXPECT_GE(ext->stats().messages_in, 1u);   // the guest's WRITE
@@ -435,6 +431,7 @@ flag: .word 0
   ext->post_interrupt(5);
   run_until_finished();
   ASSERT_TRUE(target->finished());
+  EXPECT_EQ(ctx->time_stamp().ps(), 1100000u);
   EXPECT_EQ(target->kernel().console(), "ID");
   EXPECT_EQ(ext->stats().interrupts_sent, 1u);
   EXPECT_EQ(target->kernel().stats().isr_dispatches, 1u);
@@ -482,6 +479,7 @@ buf: .word 0
   to_cpu->write(1);
   run_until_finished();
   ASSERT_TRUE(target->finished());
+  EXPECT_EQ(ctx->time_stamp().ps(), 100000u);
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], 101u);
   EXPECT_EQ(results[1], 102u);
@@ -493,6 +491,7 @@ TEST_F(DriverFixture, GuestFaultEndsSession) {
   boot("_start:\n  .word 0xffffffff\n");
   run_until_finished();
   EXPECT_TRUE(target->finished());
+  EXPECT_EQ(ctx->time_stamp().ps(), 100000u);
   EXPECT_EQ(target->last_status(), rtos::RunStatus::Fault);
 }
 

@@ -34,7 +34,7 @@ TEST(RspFailure, ClientSurvivesCorruptedReplyViaNak) {
   auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
   auto faults = ipc::FaultyChannel::install(pair.a, ipc::FaultPlan{}.corrupt_send(1, 1));
   rsp::GdbStub stub(cpu, std::move(pair.a));
-  pair.b.set_inline_peer([&] { stub.poll(); });
+  pair.b.set_inline_peer([&] { return stub.poll(); });
   rsp::GdbClient client(std::move(pair.b));
 
   EXPECT_EQ(client.transact("?"), "S05");  // survives the corruption
@@ -44,8 +44,9 @@ TEST(RspFailure, ClientSurvivesCorruptedReplyViaNak) {
 }
 
 TEST(RspFailure, ClientGivesUpWhenEveryReplyIsDropped) {
-  // All stub frames vanish: await_reply must throw at its deadline instead
-  // of blocking forever.
+  // All stub frames vanish: the stub acks the request, drops its reply and
+  // goes idle. await_reply must throw, naming the unanswered request, at
+  // the first step that finds the stub idle instead of blocking forever.
   iss::Cpu cpu(1 << 16);
   auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
   ipc::FaultPlan plan;
@@ -53,15 +54,23 @@ TEST(RspFailure, ClientGivesUpWhenEveryReplyIsDropped) {
                         /*count=*/1, /*arg=*/0, /*min_size=*/2, /*probability=*/1.0});
   ipc::FaultyChannel::install(pair.a, plan);
   rsp::GdbStub stub(cpu, std::move(pair.a));
-  pair.b.set_inline_peer([&] { stub.poll(); });
-  rsp::GdbClient client(std::move(pair.b), rsp::ClientOptions{/*reply_timeout_ms=*/200});
-  auto start = std::chrono::steady_clock::now();
-  EXPECT_THROW(client.transact("?"), util::RuntimeError);
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  EXPECT_GE(elapsed, 150);
-  EXPECT_LT(elapsed, 5000);
+  int steps = 0;
+  int idle_steps = 0;
+  pair.b.set_inline_peer([&] {
+    ++steps;
+    const bool worked = stub.poll();
+    if (!worked) ++idle_steps;
+    return worked;
+  });
+  rsp::GdbClient client(std::move(pair.b));
+  try {
+    client.transact("?");
+    FAIL() << "transact returned without a reply";
+  } catch (const util::RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("$?#3f"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(steps, 2);  // the send's step handled the request; the wait's found it idle
+  EXPECT_EQ(idle_steps, 1);
   EXPECT_FALSE(stub.done());  // the stub itself is healthy: only its replies vanish
 }
 
@@ -79,9 +88,7 @@ TEST(RspFailure, ClientThrowsAfterPeerDeath) {
   iss::Cpu cpu(1 << 16);
   auto pair = ipc::make_channel_pair(ipc::Transport::Pipe);
   auto stub = std::make_unique<rsp::GdbStub>(cpu, std::move(pair.a));
-  pair.b.set_inline_peer([&] {
-    if (stub) stub->poll();
-  });
+  pair.b.set_inline_peer([&] { return stub && stub->poll(); });
   rsp::GdbClient client(std::move(pair.b));
   client.kill();
   EXPECT_TRUE(stub->done());
@@ -218,6 +225,54 @@ TEST(DriverTargetFailure, QuiesceEndsGuestStepping) {
   ctx.unregister_extension(&ext);
 }
 
+/// Guest: one device write, then 200k cycles of work with no device I/O.
+constexpr const char* kOneWriteThenComputeGuest = R"(
+_start:
+    li a0, 0
+    la a1, buf
+    li a2, 4
+    li a7, SYS_DEV_WRITE
+    ecall
+    li t0, 100000
+loop:
+    addi t0, t0, -1
+    bnez t0, loop
+    li a7, SYS_EXIT
+    ecall
+buf: .word 7
+)";
+
+TEST(DriverTargetFailure, CutFrameQuiescesWithoutWaiting) {
+  // The guest's only device write loses all but 3 bytes of its frame. The
+  // kernel side finds a cut length prefix, and nothing else can arrive: the
+  // driver runs on this thread. The port quiesces in the first run()
+  // instead of waiting out an I/O deadline.
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  sysc::iss_in<std::uint32_t> port_in("dev.in");
+  sysc::iss_out<std::uint32_t> port_out("dev.out");
+  cosim::DriverTargetConfig config;
+  config.write_port = "dev.in";
+  config.read_port = "dev.out";
+  config.fault_plan.truncate_send(1, 3);
+  cosim::DriverTarget target(kOneWriteThenComputeGuest, config);
+  cosim::DriverKernelOptions options;
+  options.instructions_per_us = 1000;
+  cosim::DriverKernelExtension ext(target.take_data_endpoint(), target.take_interrupt_endpoint(),
+                                   &target.budget(), options);
+  ctx.register_extension(&ext);
+  const auto start = std::chrono::steady_clock::now();
+  ctx.run(1_us);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ASSERT_TRUE(ext.quiesced());
+  ASSERT_TRUE(ext.error().has_value());
+  EXPECT_NE(ext.error()->message.find("1 byte(s) missing"), std::string::npos)
+      << ext.error()->message;
+  EXPECT_TRUE(target.budget().closed());
+  target.shutdown();
+  ctx.unregister_extension(&ext);
+}
+
 TEST(DriverTargetFailure, GuestFaultShutsDownCleanly) {
   cosim::DriverTargetConfig config;
   config.write_port = "a";
@@ -242,11 +297,9 @@ TEST(GdbSessionFailure, GuestFaultFinishesExtension) {
   options.instructions_per_us = 1000000;
   cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!ext.target_finished() && std::chrono::steady_clock::now() < deadline) {
-    ctx.run(1_us);
-  }
+  while (!ext.target_finished() && ctx.time_stamp() < 100_us) ctx.run(1_us);
   EXPECT_TRUE(ext.target_finished());  // SIGSEGV stop marks the end
+  EXPECT_EQ(ctx.time_stamp().ps(), 1000000u);
   target.shutdown();
   ctx.unregister_extension(&ext);
 }
@@ -326,19 +379,14 @@ TEST(GdbSessionFailure, MidFrameDisconnectYieldsStructuredError) {
   sysc::sc_clock clk("clk", 10_ns);
   cosim::GdbTargetConfig config;
   config.fault_plan.disconnect_send(1, 2);
-  config.reply_timeout_ms = 500;
-  config.io_timeout_ms = 1000;
   cosim::GdbTarget target("_start:\n  ebreak\n", config);
   cosim::GdbKernelOptions options;
   options.instructions_per_us = 1000000;
   cosim::GdbKernelExtension ext(target.client(), &target.budget(), {}, options);
   ctx.register_extension(&ext);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (!ext.error() && !ext.target_finished() &&
-         std::chrono::steady_clock::now() < deadline) {
-    ctx.run(1_us);
-  }
+  while (!ext.error() && !ext.target_finished() && ctx.time_stamp() < 100_us) ctx.run(1_us);
   ASSERT_TRUE(ext.error().has_value());
+  EXPECT_EQ(ctx.time_stamp().ps(), 10000u);  // the cut stop reply follows the first deposit
   EXPECT_EQ(ext.error()->scheme, "gdb-kernel");
   EXPECT_FALSE(ext.error()->message.empty());
   EXPECT_FALSE(ext.error()->post_mortem.empty());

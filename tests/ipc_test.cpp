@@ -9,13 +9,13 @@
 #include <csignal>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
 #include "ipc/fault.hpp"
 #include "ipc/fd.hpp"
 #include "ipc/message.hpp"
-#include "ipc/retry.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
@@ -331,51 +331,65 @@ TEST(ChannelTimeoutTest, AcceptTimesOutWithoutPeer) {
   }
 }
 
-// ---------------------------------------------------------------- TCP edges
+// ---------------------------------------------------------------- inline peers
 
-namespace {
-/// Grabs an ephemeral port and releases it so the test can race on it.
-std::uint16_t probe_free_port() {
-  TcpListener probe(0);
-  return probe.port();
-}
-}  // namespace
-
-TEST(TcpEdgeTest, ConnectBeforeListenRecoveredByRetry) {
-  std::uint16_t port = probe_free_port();
-  std::thread late_listener([port] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    TcpListener listener(port);
-    Channel server = listener.accept(2000);
-    std::uint8_t buf[2];
-    server.recv_exact(buf);
-    server.send(std::span<const std::uint8_t>(buf, 2));  // echo
+TEST(InlinePeerTest, WaitStepsThePeerUntilItWrites) {
+  ChannelPair pair = make_channel_pair(Transport::SocketPair);
+  int steps = 0;
+  pair.b.set_inline_peer([&] {
+    if (++steps == 3) pair.a.send_str("x");  // busy twice, then replies
+    return true;
   });
-  RetryPolicy policy;
-  policy.max_attempts = 20;
-  policy.initial_backoff_ms = 10;
-  policy.max_backoff_ms = 50;
-  Channel client = tcp_connect(port, policy);  // first attempts are refused
-  client.send_str("ok");
-  std::uint8_t buf[2];
-  client.recv_exact(buf);
-  EXPECT_EQ(buf[0], 'o');
-  late_listener.join();
+  EXPECT_TRUE(pair.b.readable(-1));
+  EXPECT_EQ(steps, 3);
 }
 
-TEST(TcpEdgeTest, ConnectExhaustsRetriesAndThrows) {
-  std::uint16_t port = probe_free_port();  // nobody listens on it
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_ms = 1;
-  policy.max_backoff_ms = 5;
+TEST(InlinePeerTest, WaitEndsAtTheFirstIdleStep) {
+  ChannelPair pair = make_channel_pair(Transport::SocketPair);
+  int steps = 0;
+  pair.b.set_inline_peer([&] { return ++steps < 4; });  // busy three steps, then idle
+  EXPECT_FALSE(pair.b.readable(-1));
+  EXPECT_EQ(steps, 4);
+  EXPECT_FALSE(pair.b.readable(0));  // a poll never steps the peer
+  EXPECT_EQ(steps, 4);
+}
+
+TEST(InlinePeerTest, CutFrameFailsWithoutSteppingOrWaiting) {
+  // I/O timeout 0, as on every in-process session wire: the missing byte
+  // can only come from a peer on this thread, so the read fails at once.
+  ChannelPair pair = make_channel_pair(Transport::SocketPair);
+  pair.b.set_io_timeout(0);
+  int steps = 0;
+  pair.b.set_inline_peer([&] {
+    ++steps;
+    return true;
+  });
+  pair.a.send_str("abc");  // 3 of the 4 bytes the reader expects
+  std::uint8_t buf[4];
+  const auto start = std::chrono::steady_clock::now();
   try {
-    (void)tcp_connect(port, policy);
-    FAIL() << "connect to a dead port succeeded";
+    pair.b.recv_exact(buf);
+    FAIL() << "recv_exact completed a cut frame";
   } catch (const RuntimeError& e) {
-    EXPECT_NE(std::string(e.what()).find("attempt"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("1 byte(s) missing"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(steps, 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(InlinePeerTest, FullPipeFailsWithoutWaiting) {
+  ChannelPair pair = make_channel_pair(Transport::Pipe);
+  pair.a.set_io_timeout(0);
+  const std::vector<std::uint8_t> big(1 << 20, 0x5a);  // far beyond the pipe buffer
+  try {
+    pair.a.send(big);
+    FAIL() << "a 1 MiB send into an undrained pipe completed";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsent"), std::string::npos) << e.what();
   }
 }
+
+// ---------------------------------------------------------------- TCP edges
 
 TEST(TcpEdgeTest, ListenOnPortInUseThrows) {
   TcpListener first(0);
@@ -395,46 +409,6 @@ TEST(TcpEdgeTest, PeerCloseMidFrameRaisesPromptly) {
                      std::chrono::steady_clock::now() - start)
                      .count();
   EXPECT_LT(elapsed, 5000);  // EOF, not a timeout crawl
-}
-
-// ---------------------------------------------------------------- Backoff
-
-TEST(RetryTest, BackoffIsDeterministicForASeed) {
-  RetryPolicy policy;
-  policy.max_attempts = 6;
-  Backoff a(policy);
-  Backoff b(policy);
-  for (int i = 0; i < policy.max_attempts; ++i) {
-    EXPECT_EQ(a.next_delay_ms(), b.next_delay_ms()) << "attempt " << i;
-  }
-}
-
-TEST(RetryTest, BackoffGrowsWithinJitterBoundsAndExhausts) {
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff_ms = 8;
-  policy.multiplier = 2.0;
-  policy.max_backoff_ms = 40;
-  policy.jitter = 0.25;
-  Backoff backoff(policy);
-  double base = policy.initial_backoff_ms;
-  for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-    int delay = backoff.next_delay_ms();
-    double capped = std::min(base, static_cast<double>(policy.max_backoff_ms));
-    EXPECT_GE(delay, static_cast<int>(capped)) << "attempt " << attempt;
-    EXPECT_LE(delay, policy.max_backoff_ms) << "attempt " << attempt;
-    base *= policy.multiplier;
-  }
-  EXPECT_EQ(backoff.next_delay_ms(), -1);  // budget exhausted
-  EXPECT_FALSE(backoff.attempts_left());
-}
-
-TEST(RetryTest, SingleAttemptNeverRetries) {
-  RetryPolicy policy;
-  policy.max_attempts = 1;
-  Backoff backoff(policy);
-  EXPECT_TRUE(backoff.attempts_left());
-  EXPECT_EQ(backoff.next_delay_ms(), -1);
 }
 
 // ---------------------------------------------------------------- faults

@@ -107,7 +107,7 @@ class RspLoopback : public ::testing::Test {
 
     auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
     stub_ = std::make_unique<GdbStub>(*cpu_, std::move(pair.a), std::move(options));
-    pair.b.set_inline_peer([this] { stub_->poll(); });
+    pair.b.set_inline_peer([this] { return stub_->poll() || stub_->input_pending(); });
     client_ = std::make_unique<GdbClient>(std::move(pair.b));
   }
 
@@ -115,7 +115,7 @@ class RspLoopback : public ::testing::Test {
     if (client_) {
       if (client_->running()) client_->interrupt();
       // Drain any pending stop reply so 'k' is seen while halted.
-      if (client_->running()) client_->wait_stop(1000);
+      if (client_->running()) client_->wait_stop();
       client_->kill();
       EXPECT_TRUE(stub_->done());
     }
@@ -194,7 +194,7 @@ TEST_F(RspLoopback, BreakpointRoundTrip) {
   )");
   client_->set_breakpoint(sym("bp_here"));
   client_->cont();
-  auto stop = client_->wait_stop(2000);
+  auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 5);
   EXPECT_EQ(client_->read_pc(), sym("bp_here"));
@@ -202,7 +202,7 @@ TEST_F(RspLoopback, BreakpointRoundTrip) {
 
   client_->remove_breakpoint(sym("bp_here"));
   client_->cont();
-  stop = client_->wait_stop(2000);
+  stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(client_->read_register(10), 2u);
 }
@@ -244,7 +244,7 @@ TEST_F(RspLoopback, WatchpointReportsAddress) {
   )");
   client_->set_watchpoint(sym("var"), 4);
   client_->cont();
-  auto stop = client_->wait_stop(2000);
+  auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   ASSERT_TRUE(stop->watch_addr.has_value());
   EXPECT_EQ(*stop->watch_addr, sym("var"));
@@ -265,7 +265,7 @@ TEST_F(RspLoopback, InterruptHaltsRunningTarget) {
   start("spin: j spin\n");
   client_->cont();
   client_->interrupt();
-  auto stop = client_->wait_stop(2000);
+  auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 2);  // SIGINT
 }
@@ -273,7 +273,7 @@ TEST_F(RspLoopback, InterruptHaltsRunningTarget) {
 TEST_F(RspLoopback, IllegalInstructionSignalsSigill) {
   start(".word 0\n");  // all-zero word: illegal
   client_->cont();
-  auto stop = client_->wait_stop(2000);
+  auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 4);
 }
@@ -294,7 +294,7 @@ TEST_F(RspLoopback, ThrottleCallbackMetersExecution) {
       ebreak
   )", std::move(options));
   client_->cont();
-  auto stop = client_->wait_stop(2000);
+  auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_GE(granted, 2000u);  // ~2001 instructions executed in 64-slices
 }
@@ -339,7 +339,7 @@ TEST(GdbClientStopTest, OnlyStopPacketsEndAContinue) {
   // A peer that replays a stale reply after 'c' (say, a duplicated "OK" of
   // the breakpoint insert before it) must not read as a stop with signal 0.
   auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
-  GdbClient client(std::move(pair.b), ClientOptions{/*reply_timeout_ms=*/500});
+  GdbClient client(std::move(pair.b));
   client.cont();
   std::uint8_t request[16];
   pair.a.recv_exact(std::span<std::uint8_t>(request, frame_packet("c").size()));
@@ -348,13 +348,13 @@ TEST(GdbClientStopTest, OnlyStopPacketsEndAContinue) {
   EXPECT_THROW(client.poll_stop(), util::RuntimeError);
   EXPECT_TRUE(client.running());
   pair.a.send_str(frame_packet(""));
-  EXPECT_THROW(client.wait_stop(500), util::RuntimeError);
+  EXPECT_THROW(client.wait_stop(), util::RuntimeError);
   pair.a.send_str(frame_packet("E01"));
-  EXPECT_THROW(client.wait_stop(500), util::RuntimeError);
+  EXPECT_THROW(client.wait_stop(), util::RuntimeError);
   EXPECT_TRUE(client.running());
 
   pair.a.send_str(frame_packet("T05"));
-  auto stop = client.wait_stop(500);
+  auto stop = client.wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 5);
   EXPECT_FALSE(client.running());
