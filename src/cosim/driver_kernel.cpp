@@ -264,7 +264,7 @@ std::size_t ScPortDriver::read(std::span<std::uint8_t> out) {
 bool ScPortDriver::has_unread() {
   if (degraded() || !data_.valid()) return false;
   try {
-    return ipc::poll_readable(data_.read_fd(), 0);
+    return data_.input_waiting();
   } catch (const util::RuntimeError&) {
     mark_degraded("poll failed");
     return false;

@@ -123,9 +123,9 @@ class ScPortDriver : public rtos::Driver {
   std::size_t write(std::span<const std::uint8_t> data) override;
   std::size_t read(std::span<std::uint8_t> out) override;
 
-  /// True while bytes the kernel sent sit unread on the data channel. Polls
-  /// the descriptor itself, past any fault plan: a suppressed poll must not
-  /// hide data from the target that re-steps an idle guest.
+  /// True while bytes the kernel sent sit unread on the data channel
+  /// (ipc::Channel::input_waiting: past any fault plan, so a suppressed poll
+  /// cannot hide data from the target that re-steps an idle guest).
   bool has_unread();
 
   /// True once the data channel died: writes are swallowed (returning 0 to

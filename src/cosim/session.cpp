@@ -12,13 +12,6 @@ constexpr std::uint64_t kStubQuantum = 1024;
 /// Transfers each session's wire capture keeps for post-mortems.
 constexpr std::size_t kCaptureFrames = 32;
 
-/// Both ends of a session wire run on the kernel thread, so a transfer that
-/// cannot complete now never will: fail it at once instead of waiting.
-void fail_fast(ipc::ChannelPair& pair) {
-  pair.a.set_io_timeout(0);
-  pair.b.set_io_timeout(0);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -34,8 +27,11 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
   program_.load_into(cpu_->mem());
   cpu_->reset(program_.entry);
 
+  // Both ends run on the kernel thread: a transfer that cannot complete now
+  // never will, and a wire end found empty stays empty until the other end
+  // sends.
   ipc::ChannelPair pair = ipc::make_channel_pair(config_.transport);
-  fail_fast(pair);
+  pair.link_same_thread();
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(pair.a, config_.fault_plan);
   }
@@ -100,8 +96,8 @@ DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig c
 
   ipc::ChannelPair data = ipc::make_channel_pair(config_.transport);
   ipc::ChannelPair irq = ipc::make_channel_pair(config_.transport);
-  fail_fast(data);
-  fail_fast(irq);
+  data.link_same_thread();
+  irq.link_same_thread();
   if (!config_.fault_plan.empty()) {
     fault_state_ = ipc::FaultyChannel::install(data.b, config_.fault_plan);
   }

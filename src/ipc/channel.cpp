@@ -67,11 +67,33 @@ void Channel::set_io_timeout(int timeout_ms) {
   }
 }
 
+Channel::Link& Channel::Link::operator=(Link&& other) noexcept {
+  if (this != &other) {
+    note_send();  // the endpoint this replaces is closed
+    counts_ = std::move(other.counts_);
+    side_ = other.side_;
+    quiet_at_ = other.quiet_at_;
+  }
+  return *this;
+}
+
+void ChannelPair::link_same_thread() {
+  a.set_io_timeout(0);
+  b.set_io_timeout(0);
+  if (transport == Transport::Tcp) return;
+  auto counts = std::make_shared<Channel::SendCounts>();
+  a.link_ = Channel::Link(counts, 0);
+  b.link_ = Channel::Link(std::move(counts), 1);
+}
+
 void Channel::send(std::span<const std::uint8_t> data) {
   obs::ScopedSpan span("ipc.send", "ipc", "bytes", data.size());
   IoMetrics& metrics = io_metrics();
   metrics.sends.add(1);
   metrics.bytes_sent.add(data.size());
+  // Counted before the write: a send that fails part-way may still have
+  // left bytes for the peer.
+  link_.note_send();
   const std::shared_ptr<WireObserver> observer = load_observer();
   if (!faults_) {
     write_all(write_fd_, data, io_timeout_ms_);
@@ -128,42 +150,43 @@ void Channel::notify_observer(std::string_view tag) {
   if (observer) observer->on_wire_event(tag);
 }
 
+bool Channel::input_waiting() {
+  if (link_.quiet()) return false;
+  if (poll_readable(read_fd_, 0)) return true;
+  link_.found_empty();
+  return false;
+}
+
 bool Channel::readable(int timeout_ms) {
   // Storm in progress: report "nothing there", however long the caller
   // would wait.
   if (faults_ && faults_->suppress_poll()) return false;
-  if (!inline_peer_ || timeout_ms == 0) return poll_readable(read_fd_, timeout_ms);
+  if (!inline_peer_ && timeout_ms != 0) return poll_readable(read_fd_, timeout_ms);
   // The peer runs on this thread: step it until it wrote something. A step
   // that reports idle wrote nothing, and no later one would either.
   for (;;) {
-    if (poll_readable(read_fd_, 0)) return true;
-    if (!inline_peer_()) return false;
+    if (input_waiting()) return true;
+    if (timeout_ms == 0 || !inline_peer_()) return false;
   }
 }
 
 std::size_t Channel::recv_some(std::span<std::uint8_t> out) {
-  const std::shared_ptr<WireObserver> observer = load_observer();
-  if (!faults_) {
-    std::size_t n = read_some_nonblocking(read_fd_, out);
-    if (n > 0 && capture_) capture_->record(CaptureDir::Rx, out.first(n));
-    if (n > 0 && observer) observer->on_wire(CaptureDir::Rx, out.first(n));
-    if (n > 0) {
-      IoMetrics& metrics = io_metrics();
-      metrics.recvs.add(1);
-      metrics.bytes_received.add(n);
-    }
-    return n;
+  // The fault plan counts every call, also one that finds nothing.
+  if (faults_) out = out.first(std::min(faults_->recv_cap(), out.size()));
+  if (link_.quiet()) return 0;
+  const std::size_t n = read_some_nonblocking(read_fd_, out, io_timeout_ms_ >= 0);
+  if (n == 0) {
+    link_.found_empty();
+    return 0;
   }
-  const std::size_t cap = faults_->recv_cap();
-  std::size_t n = read_some_nonblocking(read_fd_, out.first(std::min(cap, out.size())));
-  if (n > 0) {
-    faults_->on_received(out.first(n));
-    if (capture_) capture_->record(CaptureDir::Rx, out.first(n));
-    if (observer) observer->on_wire(CaptureDir::Rx, out.first(n));
-    IoMetrics& metrics = io_metrics();
-    metrics.recvs.add(1);
-    metrics.bytes_received.add(n);
+  if (faults_) faults_->on_received(out.first(n));
+  if (capture_) capture_->record(CaptureDir::Rx, out.first(n));
+  if (const std::shared_ptr<WireObserver> observer = load_observer()) {
+    observer->on_wire(CaptureDir::Rx, out.first(n));
   }
+  IoMetrics& metrics = io_metrics();
+  metrics.recvs.add(1);
+  metrics.bytes_received.add(n);
   return n;
 }
 
@@ -192,6 +215,7 @@ ChannelPair make_socketpair_pair() {
   ChannelPair pair;
   pair.a = Channel::from_socket(Fd(fds[0]));
   pair.b = Channel::from_socket(Fd(fds[1]));
+  pair.transport = Transport::SocketPair;
   return pair;
 }
 
@@ -199,7 +223,7 @@ ChannelPair make_tcp_pair() {
   TcpListener listener(0);
   Channel client = tcp_connect(listener.port());
   Channel server = listener.accept(30000);
-  return ChannelPair{std::move(server), std::move(client)};
+  return ChannelPair{std::move(server), std::move(client), Transport::Tcp};
 }
 
 /// Applies the post-connect socket options shared by both TCP paths.

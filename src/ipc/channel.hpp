@@ -19,8 +19,15 @@
 // reply, and a wait ends when the peer goes idle. Nothing can complete a
 // transfer while this thread waits, so such endpoints use I/O timeout 0: a
 // cut frame or a full pipe fails at once.
+//
+// The two endpoints of such a wire are linked (ChannelPair::link_same_thread):
+// bytes can reach one end only after the other end sends, closes or is
+// destroyed, so each end counts its sends, and an end whose read side was
+// found empty answers "nothing there" without a syscall until the peer's
+// count moves.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -36,7 +43,8 @@ class WireCapture;
 class WireObserver;
 
 /// A bidirectional byte-stream endpoint. Reading and writing may happen from
-/// different threads (one reader, one writer).
+/// different threads (one reader, one writer), except on a linked pair:
+/// both its endpoints, and the send counts they share, belong to one thread.
 class Channel {
  public:
   Channel() = default;
@@ -63,9 +71,20 @@ class Channel {
   void recv_exact(std::span<std::uint8_t> out);
   /// Without an inline peer, polls for up to `timeout_ms` (< 0: forever).
   /// With one, any non-zero timeout steps the peer until it has written
-  /// something (true) or a step reports it idle (false); 0 only polls.
+  /// something (true) or a step reports it idle (false); 0 only checks.
+  /// Each check is input_waiting() once the fault plan let it through.
   bool readable(int timeout_ms = 0);
+  /// Reads what is pending, up to `out.size()` bytes, without waiting
+  /// (0: nothing). Non-blocking descriptors (I/O timeout >= 0) are read at
+  /// once; blocking ones are polled first. A linked endpoint skips the read
+  /// while its side is known to be empty.
   std::size_t recv_some(std::span<std::uint8_t> out);
+
+  /// True while bytes (or an EOF) sit unread on this endpoint's read side.
+  /// Bypasses the fault plan, so a suppressed poll cannot hide them. A
+  /// linked endpoint polls only when its peer sent or closed since its side
+  /// was last found empty.
+  bool input_waiting();
 
   /// Installs the step of an in-process peer: run after every send() and
   /// while readable() waits, so the peer consumes what this side sent and
@@ -103,9 +122,45 @@ class Channel {
   void close() noexcept {
     read_fd_.reset();
     write_fd_.reset();
+    link_.note_send();  // the peer must look again: it will read EOF
   }
 
  private:
+  friend struct ChannelPair;
+
+  /// Each endpoint's send count on a linked pair, indexed by side.
+  using SendCounts = std::array<std::uint64_t, 2>;
+
+  /// This endpoint's share of a linked pair (none on an unlinked channel).
+  /// Destroying or overwriting a linked endpoint closes it, so it counts as
+  /// a send the peer must look at.
+  class Link {
+   public:
+    Link() = default;
+    Link(std::shared_ptr<SendCounts> counts, int side) : counts_(std::move(counts)), side_(side) {}
+    Link(Link&& other) noexcept
+        : counts_(std::move(other.counts_)), side_(other.side_), quiet_at_(other.quiet_at_) {}
+    Link& operator=(Link&& other) noexcept;
+    ~Link() { note_send(); }
+
+    void note_send() noexcept {
+      if (counts_) ++(*counts_)[side_];
+    }
+    /// True when this side was found empty and the peer has not sent since.
+    bool quiet() const noexcept { return counts_ && quiet_at_ == peer_sent(); }
+    /// Records that this side is empty now.
+    void found_empty() noexcept {
+      if (counts_) quiet_at_ = peer_sent();
+    }
+
+   private:
+    std::uint64_t peer_sent() const noexcept { return (*counts_)[side_ ^ 1]; }
+
+    std::shared_ptr<SendCounts> counts_;
+    int side_ = 0;
+    std::uint64_t quiet_at_ = ~std::uint64_t{0};  ///< peer's count when found empty; none yet
+  };
+
   /// Acquire-loads the observer for one I/O call (never touch observer_
   /// directly on the hot paths: attach/detach may race with traffic).
   std::shared_ptr<WireObserver> load_observer() const noexcept;
@@ -117,16 +172,26 @@ class Channel {
   std::shared_ptr<WireCapture> capture_;
   std::shared_ptr<WireObserver> observer_;  // atomic_load/atomic_store only
   std::function<bool()> inline_peer_;
+  Link link_;
 };
+
+/// Transport flavor for make_channel_pair.
+enum class Transport { Pipe, SocketPair, Tcp };
 
 /// Two channel endpoints wired back-to-back.
 struct ChannelPair {
   Channel a;
   Channel b;
-};
+  Transport transport = Transport::Pipe;
 
-/// Transport flavor for make_channel_pair.
-enum class Transport { Pipe, SocketPair, Tcp };
+  /// Links the endpoints of a wire whose two ends run on one thread (an
+  /// in-process session): both get I/O timeout 0, and each counts its
+  /// sends, so a check of an end known to be empty costs no syscall until
+  /// the other end sends, closes or is destroyed. Costs one allocation. A
+  /// TCP pair only gets the timeout: a byte sent over loopback TCP may still
+  /// be in flight when send() returns, so an empty look proves nothing.
+  void link_same_thread();
+};
 
 /// Creates a connected pair of endpoints over the requested transport.
 /// Pipe uses two pipe(2) calls (matching the paper's GDB-Kernel IPC);

@@ -7,6 +7,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 
@@ -27,12 +28,19 @@ void ignore_sigpipe_once() {
   (void)installed;
 }
 
+/// One poll(2) call, counted in `ipc.polls`.
+int counted_poll(struct pollfd& pfd, int timeout_ms) {
+  static obs::Counter& polls = obs::counter("ipc.polls");
+  polls.add(1);
+  return ::poll(&pfd, 1, timeout_ms);
+}
+
 /// Polls for `events`, honoring the deadline across EINTR restarts.
 /// Returns true when an event fired, false on deadline expiry.
 bool poll_deadline(const Fd& fd, short events, const Deadline& deadline, const char* who) {
   for (;;) {
     struct pollfd pfd = {fd.get(), events, 0};
-    int rc = ::poll(&pfd, 1, deadline.remaining_ms());
+    int rc = counted_poll(pfd, deadline.remaining_ms());
     if (rc < 0) {
       if (errno == EINTR) {
         if (deadline.expired()) return false;
@@ -101,7 +109,7 @@ bool poll_readable(const Fd& fd, int timeout_ms) {
   const Deadline deadline = Deadline::after_ms(timeout_ms);
   for (;;) {
     struct pollfd pfd = {fd.get(), POLLIN, 0};
-    int rc = ::poll(&pfd, 1, deadline.remaining_ms());
+    int rc = counted_poll(pfd, deadline.remaining_ms());
     if (rc < 0) {
       if (errno == EINTR) {
         // Recompute the remaining time: repeated signals must not restart
@@ -116,8 +124,10 @@ bool poll_readable(const Fd& fd, int timeout_ms) {
   }
 }
 
-std::size_t read_some_nonblocking(const Fd& fd, std::span<std::uint8_t> out) {
-  if (!poll_readable(fd, 0)) return 0;
+std::size_t read_some_nonblocking(const Fd& fd, std::span<std::uint8_t> out,
+                                  bool fd_nonblocking) {
+  // A closed descriptor reads as empty, as poll(2) reports it.
+  if (fd_nonblocking ? !fd.valid() : !poll_readable(fd, 0)) return 0;
   ssize_t n = ::read(fd.get(), out.data(), out.size());
   if (n < 0) {
     if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return 0;

@@ -62,12 +62,17 @@ void read_exact(const Fd& fd, std::span<std::uint8_t> out, int timeout_ms = -1);
 
 /// Returns true when at least one byte is readable without blocking.
 /// `timeout_ms` < 0 blocks indefinitely; 0 polls. The timeout is a hard
-/// deadline: EINTR retries re-poll only for the remaining time.
+/// deadline: EINTR retries re-poll only for the remaining time. Every
+/// poll(2) this library makes counts in the `ipc.polls` metric.
 bool poll_readable(const Fd& fd, int timeout_ms);
 
 /// Non-blocking read of up to `out.size()` bytes. Returns the number of
-/// bytes read (0 if nothing pending). Throws on error or EOF.
-std::size_t read_some_nonblocking(const Fd& fd, std::span<std::uint8_t> out);
+/// bytes read (0 if nothing pending or `fd` is closed). Throws on error or
+/// EOF. A descriptor in blocking mode is polled first, so the read cannot
+/// block; an O_NONBLOCK one (`fd_nonblocking`, see set_nonblocking) is
+/// read at once, EAGAIN meaning nothing pending.
+std::size_t read_some_nonblocking(const Fd& fd, std::span<std::uint8_t> out,
+                                  bool fd_nonblocking);
 
 /// Marks the descriptor O_NONBLOCK (or clears it).
 void set_nonblocking(const Fd& fd, bool nonblocking);

@@ -17,10 +17,18 @@ void GdbClient::send_frame(const std::string& payload) {
   channel_.send_str(last_frame_);
 }
 
-void GdbClient::pump() {
+bool GdbClient::pump() {
   std::uint8_t buf[512];
   std::size_t n = channel_.recv_some(buf);
   if (n > 0) reader_.feed(std::span<const std::uint8_t>(buf, n));
+  return n > 0;
+}
+
+bool GdbClient::fill() {
+  if (pump()) return true;
+  if (!channel_.readable(-1)) return false;
+  pump();
+  return true;
 }
 
 std::string GdbClient::await_reply() {
@@ -40,10 +48,9 @@ std::string GdbClient::await_reply() {
       }
     }
     // The wait steps an in-process stub; one that goes idle will not reply.
-    if (!channel_.readable(-1)) {
+    if (!fill()) {
       throw RuntimeError("GdbClient: no reply to " + last_frame_ + ": the stub went idle");
     }
-    pump();
   }
 }
 
@@ -202,8 +209,7 @@ std::optional<StopReply> GdbClient::wait_stop() {
     while (auto event = reader_.next()) {
       if (event->kind == RspEventKind::Packet) return take_stop(event->payload);
     }
-    if (!channel_.readable(-1)) return std::nullopt;  // the stub went idle
-    pump();
+    if (!fill()) return std::nullopt;  // the stub went idle
   }
 }
 

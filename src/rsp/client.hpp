@@ -105,8 +105,12 @@ class GdbClient {
 
  private:
   void send_frame(const std::string& payload);
-  /// Feeds whatever the transport holds now to the packet reader.
-  void pump();
+  /// Feeds whatever the transport holds now to the packet reader; false
+  /// when it held nothing.
+  bool pump();
+  /// Reads first; only when nothing is there does it wait, stepping an
+  /// in-process stub, and read again. False when the stub went idle.
+  bool fill();
   std::string await_reply();
   /// Acks a packet received while running and returns it as the stop.
   StopReply take_stop(const std::string& payload);

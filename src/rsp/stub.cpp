@@ -46,10 +46,10 @@ bool GdbStub::poll() {
   return progressed;
 }
 
-bool GdbStub::input_pending() const {
+bool GdbStub::input_pending() {
   if (done_) return false;
   try {
-    return ipc::poll_readable(channel_.read_fd(), 0);
+    return channel_.input_waiting();
   } catch (const util::RuntimeError&) {
     return false;
   }

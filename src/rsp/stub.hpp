@@ -64,10 +64,10 @@ class GdbStub {
   /// True while the CPU free-runs after 'c'.
   bool running() const noexcept { return state_ == State::Running; }
 
-  /// True while bytes from the client sit unread on the transport. Polls the
-  /// descriptor itself, past any fault plan, so a suppressed poll cannot
-  /// hide them.
-  bool input_pending() const;
+  /// True while bytes from the client sit unread on the transport
+  /// (ipc::Channel::input_waiting: past any fault plan, so a suppressed poll
+  /// cannot hide them).
+  bool input_pending();
 
   const StubStats& stats() const noexcept { return stats_; }
 

@@ -12,10 +12,12 @@
 //   StructuredError  the scheme ended the run with a CosimError carrying a
 //                    non-empty wire post-mortem
 //
-// Each cell has one pinned outcome and received-packet count: the in-process
-// targets run on the kernel thread, so a cell settles the same way on every
-// run. No cell waits on a clock: a faulted wire ends its wait when the
-// stepped target goes idle, so a cell takes only its simulated drain time.
+// Each cell pins every field it reports (outcome, received packets,
+// injected faults, wire messages, NL4xx errors, and for Driver-Kernel the
+// interrupt socket's messages and NL4xx errors): the in-process targets run
+// on the kernel thread, so a cell settles the same way on every run. No cell
+// waits on a clock: a faulted wire ends its wait when the stepped target
+// goes idle, so a cell takes only its simulated drain time.
 //
 // The plan seed is taken from NISC_FAULT_SEED when set, and the CI sweep
 // runs several. The seed feeds only FaultPlan::seed, which is drawn from
@@ -144,41 +146,51 @@ sysc::sc_time drain_limit(Scheme scheme) {
                                       : sysc::sc_time::from_ps(5000000000);  // 5 ms
 }
 
-/// What a cell must settle to (the same on both transports).
+/// What a cell must settle to: every field of its `[ cell ]` line, the
+/// same on both transports and at every seed. A wire change that moves a
+/// fault onto another operation shows up here.
 struct Expected {
   Outcome outcome;
-  std::uint64_t received;  ///< of the 6 packets produced
+  std::uint64_t received;       ///< of the 6 packets produced
+  std::uint64_t faults;         ///< faults the plan injected
+  std::uint64_t wire_msgs;      ///< messages the data-wire monitor saw
+  std::uint64_t nl4xx;          ///< NL4xx errors on the data wire
+  std::uint64_t irq_msgs = 0;   ///< Driver-Kernel interrupt-socket messages
+  std::uint64_t irq_nl4xx = 0;  ///< NL4xx errors on the interrupt socket
 };
 
 Expected expected_for(Scheme scheme, ipc::FaultKind kind) {
   using ipc::FaultKind;
+  using enum Outcome;
   if (scheme == Scheme::DriverKernel) {
     // Resending is not part of the §4.2 wire: a lost or mangled frame
     // quiesces the port (or darkens the driver) and the session degrades.
     switch (kind) {
-      case FaultKind::CorruptByte: return {Outcome::Degraded, 0};
-      case FaultKind::Truncate: return {Outcome::Degraded, 1};
-      case FaultKind::Drop: return {Outcome::Degraded, 1};
-      case FaultKind::Disconnect: return {Outcome::Degraded, 2};
-      case FaultKind::Duplicate:
-      case FaultKind::Delay:
-      case FaultKind::ShortRead:
-      case FaultKind::EagainStorm: return {Outcome::Recovered, 6};
+      case FaultKind::CorruptByte: return {Degraded, 0, 1, 3, 0, 1, 0};
+      case FaultKind::Truncate: return {Degraded, 1, 1, 3, 0, 2, 0};
+      case FaultKind::Drop: return {Degraded, 1, 1, 3, 0, 2, 0};
+      case FaultKind::Disconnect: return {Degraded, 2, 1, 5, 0, 3, 0};
+      case FaultKind::Duplicate: return {Recovered, 6, 1, 13, 0, 6, 0};
+      case FaultKind::Delay: return {Recovered, 6, 3, 12, 0, 6, 0};
+      case FaultKind::ShortRead: return {Recovered, 6, 12, 12, 0, 6, 0};
+      case FaultKind::EagainStorm: return {Recovered, 6, 20, 12, 0, 6, 0};
     }
   }
   // RSP recovers a corrupted frame by NAK/resend and rides out slow or
   // stuttering reads; a frame that is cut, lost or replayed ends the run.
+  // The lock-step wrapper exchanges a few more messages than GDB-Kernel.
+  const bool wrapper = scheme == Scheme::GdbWrapper;
   switch (kind) {
-    case FaultKind::CorruptByte:
-    case FaultKind::Delay:
-    case FaultKind::ShortRead:
-    case FaultKind::EagainStorm: return {Outcome::Recovered, 6};
-    case FaultKind::Truncate:
-    case FaultKind::Drop:
-    case FaultKind::Duplicate:
-    case FaultKind::Disconnect: return {Outcome::StructuredError, 0};
+    case FaultKind::CorruptByte: return {Recovered, 6, 1, wrapper ? 192u : 176u, 0};
+    case FaultKind::Delay: return {Recovered, 6, wrapper ? 95u : 87u, wrapper ? 191u : 175u, 0};
+    case FaultKind::ShortRead: return {Recovered, 6, 50, wrapper ? 191u : 175u, 0};
+    case FaultKind::EagainStorm: return {Recovered, 6, 20, wrapper ? 191u : 175u, 0};
+    case FaultKind::Truncate: return {StructuredError, 0, 1, 2, 1};
+    case FaultKind::Drop: return {StructuredError, 0, 1, 2, 0};
+    case FaultKind::Duplicate: return {StructuredError, 0, 1, wrapper ? 8u : 9u, 1};
+    case FaultKind::Disconnect: return {StructuredError, 0, 1, 3, 1};
   }
-  return {Outcome::StructuredError, 0};
+  return {StructuredError, 0, 0, 0, 0};
 }
 
 using Cell = std::tuple<Scheme, ipc::Transport, ipc::FaultKind>;
@@ -232,6 +244,7 @@ TEST_P(FaultMatrix, CellSettlesWithDocumentedOutcome) {
   EXPECT_EQ(report.produced, 6u);
   EXPECT_STREQ(outcome_name(outcome), outcome_name(expected.outcome));
   EXPECT_EQ(report.received, expected.received);
+  EXPECT_EQ(bench.faults_injected(), expected.faults);
 
   bench.shutdown();  // must end every session promptly
 
@@ -239,9 +252,11 @@ TEST_P(FaultMatrix, CellSettlesWithDocumentedOutcome) {
       std::chrono::steady_clock::now() - start);
   EXPECT_LT(elapsed.count(), 60) << "cell blew its wall-clock deadline";
 
-  // Informational: faulted wires are expected to violate the protocol; the
-  // interesting signal is which NL4xx rules each fault kind trips.
+  // Faulted wires are expected to violate the protocol; which NL4xx rules
+  // each fault kind trips, and how often, is pinned with the cell.
   monitor->finish();
+  EXPECT_EQ(monitor->messages_seen(), expected.wire_msgs);
+  EXPECT_EQ(monitor->diags().errors(), expected.nl4xx) << analysis::render_text(monitor->diags());
   RecordProperty("outcome", outcome_name(outcome));
   RecordProperty("nl4xx_errors", static_cast<int>(monitor->diags().errors()));
   std::uint64_t irq_msgs = 0;
@@ -259,6 +274,8 @@ TEST_P(FaultMatrix, CellSettlesWithDocumentedOutcome) {
       EXPECT_EQ(irq_errors, 0u) << analysis::render_text(irq_monitor->diags());
     }
   }
+  EXPECT_EQ(irq_msgs, expected.irq_msgs);
+  EXPECT_EQ(irq_errors, expected.irq_nl4xx);
   std::printf("[ cell ] %s / %s / %s -> %s (%llu/%llu packets, %llu faults, "
               "%llu wire msgs, %llu NL4xx errors, %llu irq msgs, %llu irq NL4xx)\n",
               router::scheme_name(scheme), ipc::transport_name(transport),

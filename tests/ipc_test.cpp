@@ -8,7 +8,10 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ipc/capture.hpp"
@@ -16,6 +19,7 @@
 #include "ipc/fault.hpp"
 #include "ipc/fd.hpp"
 #include "ipc/message.hpp"
+#include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
@@ -387,6 +391,134 @@ TEST(InlinePeerTest, FullPipeFailsWithoutWaiting) {
   } catch (const RuntimeError& e) {
     EXPECT_NE(std::string(e.what()).find("unsent"), std::string::npos) << e.what();
   }
+}
+
+// ---------------------------------------------------------------- linked pairs
+
+/// poll(2) calls made so far by src/ipc in this process.
+std::uint64_t polls_so_far() { return obs::counter("ipc.polls").value(); }
+
+/// A pair linked like an in-process session wire, over each transport a
+/// session can link.
+class LinkedPairTest : public ::testing::TestWithParam<Transport> {
+ protected:
+  ChannelPair linked_pair() const {
+    ChannelPair pair = make_channel_pair(GetParam());
+    pair.link_same_thread();
+    return pair;
+  }
+};
+
+TEST_P(LinkedPairTest, QuietWireCostsAtMostOnePoll) {
+  ChannelPair pair = linked_pair();
+  EXPECT_EQ(pair.b.io_timeout(), 0);
+  const std::uint64_t before = polls_so_far();
+  std::uint8_t buf[16];
+  int answered_something = 0;
+  for (int i = 0; i < 1000; ++i) {
+    if (pair.b.readable(0)) ++answered_something;
+    if (pair.b.recv_some(buf) != 0) ++answered_something;
+  }
+  EXPECT_EQ(answered_something, 0);
+  EXPECT_LE(polls_so_far() - before, 1u);
+}
+
+TEST_P(LinkedPairTest, SendIsSeenUntilTheBytesAreDrained) {
+  ChannelPair pair = linked_pair();
+  EXPECT_FALSE(pair.b.readable(0));  // found empty
+  pair.a.send_str("abc");
+  EXPECT_TRUE(pair.b.readable(0));
+  std::uint8_t buf[16];
+  EXPECT_EQ(pair.b.recv_some(buf), 3u);
+  EXPECT_FALSE(pair.b.readable(0));  // drained: found empty again
+  const std::uint64_t before = polls_so_far();
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(pair.b.readable(0));
+  EXPECT_EQ(polls_so_far(), before);  // quiet again
+}
+
+TEST_P(LinkedPairTest, PeerCloseIsSeen) {
+  ChannelPair pair = linked_pair();
+  EXPECT_FALSE(pair.b.readable(0));
+  pair.a.close();
+  EXPECT_TRUE(pair.b.readable(0));
+  std::uint8_t buf[4];
+  try {
+    (void)pair.b.recv_some(buf);
+    FAIL() << "recv_some returned on a closed wire";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("peer closed"), std::string::npos) << e.what();
+  }
+}
+
+TEST_P(LinkedPairTest, PeerDestructionIsSeenButAMoveIsNot) {
+  ChannelPair pair = linked_pair();
+  EXPECT_FALSE(pair.b.readable(0));
+  std::optional<Channel> other;
+  {
+    Channel moved = std::move(pair.a);
+    other.emplace(std::move(moved));
+  }  // destroys the moved-from `moved`, which closes nothing
+  const std::uint64_t before = polls_so_far();
+  EXPECT_FALSE(pair.b.readable(0));
+  EXPECT_EQ(polls_so_far(), before);
+  other.reset();
+  EXPECT_TRUE(pair.b.readable(0));
+  std::uint8_t buf[4];
+  try {
+    (void)pair.b.recv_some(buf);
+    FAIL() << "recv_some returned on a wire whose other end is gone";
+  } catch (const RuntimeError& e) {
+    EXPECT_NE(std::string(e.what()).find("peer closed"), std::string::npos) << e.what();
+  }
+}
+
+TEST_P(LinkedPairTest, FaultPlanSeesTheCallsOfAnUnlinkedPair) {
+  // The plan counts every readable() and recv_some() call before the link
+  // may skip its syscall, so a storm bites exactly where it would on an
+  // unlinked wire.
+  const Transport transport = GetParam();
+  auto run = [transport](bool link) {
+    ChannelPair pair = make_channel_pair(transport);
+    if (link) pair.link_same_thread();
+    auto state =
+        FaultyChannel::install(pair.b, FaultPlan{}.eagain_storm(2, 3).short_reads(7, 1, 2));
+    std::string answers;
+    std::uint8_t buf[8];
+    for (int i = 0; i < 12; ++i) {
+      if (i == 1 || i == 6) pair.a.send_str("xyz");
+      answers += pair.b.readable(0) ? 'r' : '-';
+      answers += std::to_string(pair.b.recv_some(buf));
+    }
+    return std::make_pair(state->stats(), answers);
+  };
+  const auto [linked, linked_answers] = run(true);
+  const auto [unlinked, unlinked_answers] = run(false);
+  EXPECT_EQ(linked_answers, unlinked_answers);
+  EXPECT_EQ(linked.polls, unlinked.polls);
+  EXPECT_EQ(linked.recv_ops, unlinked.recv_ops);
+  EXPECT_EQ(linked.send_ops, unlinked.send_ops);
+  for (std::size_t kind = 0; kind < 8; ++kind) {
+    EXPECT_EQ(linked.injected[kind], unlinked.injected[kind])
+        << fault_kind_name(static_cast<FaultKind>(kind));
+  }
+  EXPECT_EQ(linked.injected[static_cast<int>(FaultKind::EagainStorm)], 3u);
+  EXPECT_EQ(linked.injected[static_cast<int>(FaultKind::ShortRead)], 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SessionTransports, LinkedPairTest,
+                         ::testing::Values(Transport::Pipe, Transport::SocketPair),
+                         [](const auto& info) { return transport_name(info.param); });
+
+TEST(LinkedPairTcpTest, TcpPairKeepsItsPolls) {
+  // Loopback TCP may hold a sent byte in flight after send() returns, so a
+  // linked TCP pair gets I/O timeout 0 but no send counts.
+  ChannelPair pair = make_channel_pair(Transport::Tcp);
+  pair.link_same_thread();
+  EXPECT_EQ(pair.a.io_timeout(), 0);
+  EXPECT_EQ(pair.b.io_timeout(), 0);
+  const std::uint64_t before = polls_so_far();
+  for (int i = 0; i < 10; ++i) EXPECT_FALSE(pair.b.readable(0));
+  EXPECT_EQ(polls_so_far() - before, 10u);
 }
 
 // ---------------------------------------------------------------- TCP edges

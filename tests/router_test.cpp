@@ -375,6 +375,37 @@ TEST(Figure7Shape, OsOverheadLowersForwardingRate) {
   EXPECT_EQ(drv.kernel_delta_cycles, 72121u);
 }
 
+// The Figure 7 set-up at its sparsest point, as the benchmark's
+// sparse.driver_kernel unit runs it: about 160k delta cycles, each with the
+// Fig. 5 "message to exchange?" check per CPU. The session wires are linked,
+// so a check costs a poll(2) only after the guest wrote: the count is pinned
+// exactly, and grows with the guest's traffic, not with deltas x CPUs (a
+// poll per delta per CPU would come to about 160k and 320k here).
+TEST(WirePolls, SparseDriverKernelPollsOnlyAfterTheGuestWrote) {
+  auto polls_with_cpus = [](int cpus) {
+    TestbenchConfig config;
+    config.scheme = Scheme::DriverKernel;
+    config.seed = 1;
+    config.num_cpus = cpus;
+    config.num_producers = 4;
+    config.packets_per_producer = 5;
+    config.fifo_capacity = 4;
+    config.inter_packet_delay = 160_us;
+    config.instructions_per_us = 30;
+    config.rtos.syscall_overhead_cycles = 100;
+    config.rtos.context_switch_cycles = 120;
+    config.rtos.isr_entry_cycles = 80;
+    const obs::Counter& polls = obs::counter("ipc.polls");
+    const std::uint64_t before = polls.value();
+    Testbench bench(config);
+    bench.run_until_drained(sysc::sc_time(400, sysc::SC_MS));
+    EXPECT_EQ(bench.report().received, 20u);
+    return polls.value() - before;
+  };
+  EXPECT_EQ(polls_with_cpus(1), 125u);
+  EXPECT_EQ(polls_with_cpus(2), 130u);
+}
+
 // ---------------------------------------------------------------- MPSoC
 
 TEST(MultiCpuTest, RouterNamesPortsPerEngine) {
