@@ -6,6 +6,7 @@
 // frequency — the motivation for moving the wrapper into the kernel.
 //
 //   $ ./bench_sync
+#include <chrono>
 #include <cstdio>
 #include <string>
 

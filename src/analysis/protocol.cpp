@@ -967,7 +967,6 @@ LiveConformanceMonitor::LiveConformanceMonitor(ProtocolModel model, std::string 
       flip_direction_(flip_direction) {}
 
 void LiveConformanceMonitor::on_wire(ipc::CaptureDir dir, std::span<const std::uint8_t> bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
   if (flip_direction_) {
     dir = dir == ipc::CaptureDir::Tx ? ipc::CaptureDir::Rx : ipc::CaptureDir::Tx;
@@ -976,21 +975,14 @@ void LiveConformanceMonitor::on_wire(ipc::CaptureDir dir, std::span<const std::u
 }
 
 void LiveConformanceMonitor::on_wire_event(std::string_view tag) {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
   monitor_.on_event(tag);
 }
 
 void LiveConformanceMonitor::finish() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   if (finished_) return;
   monitor_.finish();
   finished_ = true;
-}
-
-std::size_t LiveConformanceMonitor::messages_seen() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return monitor_.messages_seen();
 }
 
 // ---------------------------------------------------------------------------

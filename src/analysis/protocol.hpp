@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <span>
@@ -329,7 +328,7 @@ class ConformanceMonitor {
   std::size_t violations_ = 0;
 };
 
-/// Thread-safe WireObserver adapter: attach to a live ipc::Channel (via
+/// WireObserver adapter: attach to a live ipc::Channel (via
 /// Channel::attach_observer / the session configs) and every transfer is
 /// conformance-checked as it happens. Owns its DiagEngine; read it after
 /// finish() or once the channel is quiet.
@@ -347,10 +346,9 @@ class LiveConformanceMonitor final : public ipc::WireObserver {
   void finish();
 
   DiagEngine& diags() noexcept { return diags_; }
-  std::size_t messages_seen() const;
+  std::size_t messages_seen() const noexcept { return monitor_.messages_seen(); }
 
  private:
-  mutable std::mutex mutex_;
   DiagEngine diags_;
   ConformanceMonitor monitor_;
   bool flip_direction_ = false;

@@ -13,13 +13,11 @@ WireCapture::WireCapture(std::string label, std::size_t max_frames)
     : label_(std::move(label)), max_frames_(max_frames == 0 ? 1 : max_frames) {}
 
 void WireCapture::record(CaptureDir dir, std::span<const std::uint8_t> bytes) {
-  std::lock_guard lock(mutex_);
   ring_.push_back(Entry{dir, next_seq_++, {bytes.begin(), bytes.end()}});
   while (ring_.size() > max_frames_) ring_.pop_front();
 }
 
 std::vector<std::uint8_t> WireCapture::dump() const {
-  std::lock_guard lock(mutex_);
   std::vector<std::uint8_t> out;
   for (const Entry& entry : ring_) {
     DriverMessage msg;
@@ -34,7 +32,6 @@ std::vector<std::uint8_t> WireCapture::dump() const {
 }
 
 std::string WireCapture::render_text(std::size_t max_bytes_per_entry) const {
-  std::lock_guard lock(mutex_);
   std::ostringstream out;
   for (const Entry& entry : ring_) {
     out << label_ << (entry.dir == CaptureDir::Tx ? " tx#" : " rx#") << entry.seq << " ("
@@ -48,16 +45,6 @@ std::string WireCapture::render_text(std::size_t max_bytes_per_entry) const {
     out << '\n';
   }
   return out.str();
-}
-
-std::size_t WireCapture::size() const {
-  std::lock_guard lock(mutex_);
-  return ring_.size();
-}
-
-std::uint64_t WireCapture::total_recorded() const {
-  std::lock_guard lock(mutex_);
-  return next_seq_;
 }
 
 ObsTap::ObsTap(const std::string& label, TraceIdPeeker peeker, std::string_view flow_name,

@@ -8,16 +8,15 @@
 // message per transfer, port "<label>.tx#<seq>" / "<label>.rx#<seq>", data =
 // the raw bytes) — exactly the concatenated-frame format that
 // `cosim_lint --frames` validates, so a crash dump from any scheme (RSP
-// traffic included) can be inspected with the analysis tooling from PR 1.
+// traffic included) can be inspected with the analysis tooling.
 //
-// Thread-safe: the channel's reader and writer threads record concurrently.
+// Recorded on the one thread that uses the channel, like the observer below.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -34,8 +33,8 @@ enum class CaptureDir : std::uint8_t { Tx, Rx };
 /// Live tap on a channel's wire traffic. Attached via
 /// Channel::attach_observer; sees exactly the bytes the capture ring would
 /// record (post-fault-injection reality, not intent) plus out-of-band
-/// endpoint events (e.g. "quiesce"). Implementations must be thread-safe:
-/// the channel's reader and writer threads call in concurrently.
+/// endpoint events (e.g. "quiesce"). Called on the thread that does the
+/// channel's I/O.
 class WireObserver {
  public:
   virtual ~WireObserver() = default;
@@ -60,9 +59,9 @@ class WireCapture {
   std::string render_text(std::size_t max_bytes_per_entry = 16) const;
 
   const std::string& label() const noexcept { return label_; }
-  std::size_t size() const;
-  bool empty() const { return size() == 0; }
-  std::uint64_t total_recorded() const;
+  std::size_t size() const noexcept { return ring_.size(); }
+  bool empty() const noexcept { return ring_.empty(); }
+  std::uint64_t total_recorded() const noexcept { return next_seq_; }
 
  private:
   struct Entry {
@@ -71,7 +70,6 @@ class WireCapture {
     std::vector<std::uint8_t> bytes;
   };
 
-  mutable std::mutex mutex_;
   std::string label_;
   std::size_t max_frames_;
   std::uint64_t next_seq_ = 0;
@@ -85,8 +83,7 @@ class WireCapture {
 /// joins the cross-process flow arrows of DESIGN.md §10.5.
 ///
 /// The counters use relaxed atomics and the flow emit goes to the calling
-/// thread's own trace ring, so attaching a tap keeps the channel's
-/// thread-safety story unchanged. The peeker runs on the I/O hot path;
+/// thread's own trace ring. The peeker runs on the I/O hot path;
 /// implementations must be cheap, non-throwing, and return 0 for transfers
 /// without an id (partial frames included — Rx traffic arrives split into
 /// header/body chunks).
@@ -118,8 +115,7 @@ class ObsTap : public WireObserver {
 /// Fans one channel's observer slot out to several observers (a Channel
 /// holds exactly one) — e.g. the supervisor's ObsTap plus a live
 /// conformance monitor on the same socket. Children are fixed at
-/// construction; thread-safety is each child's own concern, exactly as if
-/// it were attached directly.
+/// construction and see each transfer exactly as if attached directly.
 class FanoutWireObserver : public WireObserver {
  public:
   explicit FanoutWireObserver(std::vector<std::shared_ptr<WireObserver>> children)

@@ -39,16 +39,6 @@ IoMetrics& io_metrics() {
 
 }  // namespace
 
-void Channel::attach_observer(std::shared_ptr<WireObserver> observer) noexcept {
-  std::atomic_store_explicit(&observer_, std::move(observer), std::memory_order_release);
-}
-
-std::shared_ptr<WireObserver> Channel::observer() const noexcept { return load_observer(); }
-
-std::shared_ptr<WireObserver> Channel::load_observer() const noexcept {
-  return std::atomic_load_explicit(&observer_, std::memory_order_acquire);
-}
-
 Channel Channel::from_socket(Fd socket_fd) {
   // Duplicate so read and write sides can be closed independently.
   int dup_fd = ::dup(socket_fd.get());
@@ -94,11 +84,10 @@ void Channel::send(std::span<const std::uint8_t> data) {
   // Counted before the write: a send that fails part-way may still have
   // left bytes for the peer.
   link_.note_send();
-  const std::shared_ptr<WireObserver> observer = load_observer();
   if (!faults_) {
     write_all(write_fd_, data, io_timeout_ms_);
     if (capture_) capture_->record(CaptureDir::Tx, data);
-    if (observer) observer->on_wire(CaptureDir::Tx, data);
+    if (observer_) observer_->on_wire(CaptureDir::Tx, data);
     if (inline_peer_) inline_peer_();
     return;
   }
@@ -109,7 +98,7 @@ void Channel::send(std::span<const std::uint8_t> data) {
   for (int i = 0; i < verdict.copies; ++i) {
     write_all(write_fd_, verdict.bytes, io_timeout_ms_);
     if (capture_) capture_->record(CaptureDir::Tx, verdict.bytes);
-    if (observer) observer->on_wire(CaptureDir::Tx, verdict.bytes);
+    if (observer_) observer_->on_wire(CaptureDir::Tx, verdict.bytes);
   }
   if (verdict.close_after) close();
   if (inline_peer_) inline_peer_();
@@ -124,11 +113,10 @@ void Channel::recv_exact(std::span<std::uint8_t> out) {
   IoMetrics& metrics = io_metrics();
   metrics.recvs.add(1);
   metrics.bytes_received.add(out.size());
-  const std::shared_ptr<WireObserver> observer = load_observer();
   if (!faults_) {
     read_exact(read_fd_, out, io_timeout_ms_);
     if (capture_) capture_->record(CaptureDir::Rx, out);
-    if (observer) observer->on_wire(CaptureDir::Rx, out);
+    if (observer_) observer_->on_wire(CaptureDir::Rx, out);
     return;
   }
   // A short-read fault splits the transfer; recv_exact still fills `out`,
@@ -142,12 +130,11 @@ void Channel::recv_exact(std::span<std::uint8_t> out) {
   }
   faults_->on_received(out);
   if (capture_) capture_->record(CaptureDir::Rx, out);
-  if (observer) observer->on_wire(CaptureDir::Rx, out);
+  if (observer_) observer_->on_wire(CaptureDir::Rx, out);
 }
 
 void Channel::notify_observer(std::string_view tag) {
-  const std::shared_ptr<WireObserver> observer = load_observer();
-  if (observer) observer->on_wire_event(tag);
+  if (observer_) observer_->on_wire_event(tag);
 }
 
 bool Channel::input_waiting() {
@@ -181,9 +168,7 @@ std::size_t Channel::recv_some(std::span<std::uint8_t> out) {
   }
   if (faults_) faults_->on_received(out.first(n));
   if (capture_) capture_->record(CaptureDir::Rx, out.first(n));
-  if (const std::shared_ptr<WireObserver> observer = load_observer()) {
-    observer->on_wire(CaptureDir::Rx, out.first(n));
-  }
+  if (observer_) observer_->on_wire(CaptureDir::Rx, out.first(n));
   IoMetrics& metrics = io_metrics();
   metrics.recvs.add(1);
   metrics.bytes_received.add(n);

@@ -43,8 +43,9 @@ class WireCapture;
 class WireObserver;
 
 /// A bidirectional byte-stream endpoint. Reading and writing may happen from
-/// different threads (one reader, one writer), except on a linked pair:
-/// both its endpoints, and the send counts they share, belong to one thread.
+/// different threads (one reader, one writer) only on a bare channel: its
+/// decorations, and both endpoints of a linked pair with the send counts
+/// they share, belong to one thread.
 class Channel {
  public:
   Channel() = default;
@@ -105,13 +106,10 @@ class Channel {
 
   /// Installs (or, with nullptr, detaches) a live observer seeing every
   /// transfer (post fault injection, i.e. the bytes that actually crossed
-  /// the wire on this endpoint). Safe to call while the reader/writer
-  /// threads are mid-traffic: the pointer is published atomically and
-  /// in-flight calls finish against the observer they loaded — the
-  /// supervisor re-attaches its conformance monitor on recovery while the
-  /// peer may still be draining.
-  void attach_observer(std::shared_ptr<WireObserver> observer) noexcept;
-  std::shared_ptr<WireObserver> observer() const noexcept;
+  /// the wire on this endpoint).
+  void attach_observer(std::shared_ptr<WireObserver> observer) noexcept {
+    observer_ = std::move(observer);
+  }
 
   /// Forwards an out-of-band endpoint event (e.g. "quiesce") to the
   /// observer, if any; defined out of line to keep WireObserver forward-
@@ -161,16 +159,12 @@ class Channel {
     std::uint64_t quiet_at_ = ~std::uint64_t{0};  ///< peer's count when found empty; none yet
   };
 
-  /// Acquire-loads the observer for one I/O call (never touch observer_
-  /// directly on the hot paths: attach/detach may race with traffic).
-  std::shared_ptr<WireObserver> load_observer() const noexcept;
-
   Fd read_fd_;
   Fd write_fd_;
   int io_timeout_ms_ = -1;
   std::shared_ptr<FaultState> faults_;
   std::shared_ptr<WireCapture> capture_;
-  std::shared_ptr<WireObserver> observer_;  // atomic_load/atomic_store only
+  std::shared_ptr<WireObserver> observer_;
   std::function<bool()> inline_peer_;
   Link link_;
 };

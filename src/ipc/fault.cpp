@@ -110,7 +110,6 @@ bool FaultState::matches(SpecState& st, std::uint64_t op) {
 }
 
 SendVerdict FaultState::on_send(std::span<const std::uint8_t> data) {
-  std::lock_guard lock(mutex_);
   const std::uint64_t op = ++stats_.send_ops;
   SendVerdict verdict;
   verdict.bytes.assign(data.begin(), data.end());
@@ -173,7 +172,6 @@ SendVerdict FaultState::on_send(std::span<const std::uint8_t> data) {
 }
 
 bool FaultState::suppress_poll() {
-  std::lock_guard lock(mutex_);
   const std::uint64_t op = ++stats_.polls;
   for (SpecState& st : specs_) {
     if (st.spec.kind != FaultKind::EagainStorm) continue;
@@ -187,7 +185,6 @@ bool FaultState::suppress_poll() {
 }
 
 std::size_t FaultState::recv_cap() {
-  std::lock_guard lock(mutex_);
   last_recv_op_ = ++stats_.recv_ops;
   std::size_t cap = std::numeric_limits<std::size_t>::max();
   for (SpecState& st : specs_) {
@@ -202,7 +199,6 @@ std::size_t FaultState::recv_cap() {
 }
 
 void FaultState::on_received(std::span<std::uint8_t> data) {
-  std::lock_guard lock(mutex_);
   for (SpecState& st : specs_) {
     if (st.spec.dir != FaultDir::Recv || st.spec.kind != FaultKind::CorruptByte) continue;
     if (!matches(st, last_recv_op_)) continue;
@@ -214,11 +210,6 @@ void FaultState::on_received(std::span<std::uint8_t> data) {
       st.nth = last_recv_op_ + 1;
     }
   }
-}
-
-FaultStats FaultState::stats() const {
-  std::lock_guard lock(mutex_);
-  return stats_;
 }
 
 std::shared_ptr<FaultState> FaultyChannel::install(Channel& channel, const FaultPlan& plan) {

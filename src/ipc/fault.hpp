@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -117,8 +116,8 @@ struct SendVerdict {
   bool close_after = false;         ///< mid-frame disconnect
 };
 
-/// Shared, thread-safe runtime state compiled from a FaultPlan. Installed
-/// into a Channel; consulted by its I/O methods.
+/// Runtime state compiled from a FaultPlan. Installed into a Channel;
+/// consulted by its I/O methods, on the one thread that uses the channel.
 class FaultState {
  public:
   explicit FaultState(const FaultPlan& plan);
@@ -132,7 +131,7 @@ class FaultState {
   /// Counts one completed receive and applies recv-side corruption.
   void on_received(std::span<std::uint8_t> data);
 
-  FaultStats stats() const;
+  FaultStats stats() const noexcept { return stats_; }
 
  private:
   struct SpecState {
@@ -142,7 +141,6 @@ class FaultState {
 
   bool matches(SpecState& st, std::uint64_t op);
 
-  mutable std::mutex mutex_;
   std::vector<SpecState> specs_;
   util::Rng rng_;
   FaultStats stats_;

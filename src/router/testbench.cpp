@@ -132,6 +132,7 @@ void Testbench::run_until_drained(sysc::sc_time max_duration, sysc::sc_time wind
   util::require(config_.packets_per_producer > 0,
                 "run_until_drained needs bounded producers");
   const sysc::sc_time end = ctx_->time_stamp() + max_duration;
+  std::uint64_t last_moves = ~std::uint64_t{0};
   while (ctx_->time_stamp() < end) {
     run_for(window);
     TestbenchReport r = report();
@@ -140,7 +141,28 @@ void Testbench::run_until_drained(sysc::sc_time max_duration, sysc::sc_time wind
     std::uint64_t settled =
         r.received + r.dropped_input + r.dropped_no_route + r.dropped_output;
     if (producers_done && settled == r.produced) return;
+    // Packets stranded on a CPU whose session ended can never settle: once a
+    // whole window moved nothing, simulating on to the limit changes nothing.
+    // Every traffic count only grows, so an unchanged sum means none moved.
+    const std::uint64_t moves = r.produced + r.accepted + r.forwarded + settled +
+                                r.rsp_transactions + r.breakpoint_events + r.lockstep_steps +
+                                r.driver_messages;
+    if (producers_done && sessions_ended() && moves == last_moves) return;
+    last_moves = moves;
   }
+}
+
+bool Testbench::sessions_ended() const {
+  for (const auto& ext : gdb_exts_) {
+    if (!ext->target_finished()) return false;  // also set by a structured error
+  }
+  for (const cosim::GdbWrapperModule* wrapper : wrappers_) {
+    if (!wrapper->target_finished()) return false;
+  }
+  for (std::size_t cpu = 0; cpu < driver_exts_.size(); ++cpu) {
+    if (!driver_exts_[cpu]->quiesced() && !driver_targets_[cpu]->finished()) return false;
+  }
+  return true;
 }
 
 std::optional<cosim::CosimError> Testbench::cosim_error() const {

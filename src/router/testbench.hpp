@@ -95,7 +95,9 @@ class Testbench {
 
   /// Runs in `window` steps until every produced packet is accounted for
   /// (received or dropped) or `max_duration` of simulated time elapsed.
-  /// Requires bounded producers.
+  /// Also returns once nothing can move: the producers are done, every
+  /// session ended (error, finished or quiesced) and the last window changed
+  /// no traffic count. Requires bounded producers.
   void run_until_drained(sysc::sc_time max_duration,
                          sysc::sc_time window = sysc::sc_time::from_ps(10000000));
 
@@ -125,6 +127,10 @@ class Testbench {
   const std::vector<Consumer*>& consumers() const noexcept { return consumers_; }
 
  private:
+  /// True once every CPU's session ended: its target finished, it failed
+  /// with a structured error, or its Driver-Kernel port quiesced.
+  bool sessions_ended() const;
+
   TestbenchConfig config_;
   std::unique_ptr<sysc::sc_simcontext> ctx_;
   sysc::sc_clock* clock_ = nullptr;

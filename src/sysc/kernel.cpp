@@ -1,12 +1,38 @@
 #include "sysc/kernel.hpp"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sysc/iss_port.hpp"
 #include "util/log.hpp"
+
+// Fiber annotations for the sanitizers, selected by either compiler's macros:
+// NISC_ASAN(...) and NISC_TSAN(...) expand to their arguments only under
+// AddressSanitizer and ThreadSanitizer.
+#if defined(__has_feature)
+#define NISC_HAS_FEATURE(x) __has_feature(x)
+#else
+#define NISC_HAS_FEATURE(x) 0
+#endif
+#if defined(__SANITIZE_ADDRESS__) || NISC_HAS_FEATURE(address_sanitizer)
+#include <sanitizer/common_interface_defs.h>
+#define NISC_ASAN(...) __VA_ARGS__
+#else
+#define NISC_ASAN(...)
+#endif
+#if defined(__SANITIZE_THREAD__) || NISC_HAS_FEATURE(thread_sanitizer)
+#include <sanitizer/tsan_interface.h>
+#define NISC_TSAN(...) __VA_ARGS__
+#else
+#define NISC_TSAN(...)
+#endif
 
 namespace nisc::sysc {
 
@@ -102,6 +128,82 @@ void sc_event::fire() {
 // ---------------------------------------------------------------------------
 // sc_process
 
+namespace {
+
+/// Makes a process current for one scope, then restores the dispatcher's
+/// (the kernel's nullptr, or the outer thread of a nested context).
+struct CurrentProcess {
+  explicit CurrentProcess(sc_process* p) noexcept : previous(std::exchange(g_current_process, p)) {}
+  ~CurrentProcess() { g_current_process = previous; }
+  sc_process* previous;
+};
+
+}  // namespace
+
+/// A thread's stack, below a PROT_NONE guard page, and the contexts a switch
+/// saves. Every switch is announced to ASan (the stack in use) and to TSan
+/// (one fiber per coroutine).
+struct sc_process::Coroutine {
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+  const std::size_t guard = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  char* stack = nullptr;  ///< lowest usable byte, just above the guard page
+  ucontext_t self{};
+  ucontext_t caller{};
+  bool finished = false;
+  void* fake_stack = nullptr;           ///< ASan: the body's frames while it is suspended
+  const void* caller_bottom = nullptr;  ///< ASan: the stack that resumed the body
+  std::size_t caller_size = 0;
+  void* fiber = nullptr;  ///< TSan
+  void* caller_fiber = nullptr;
+
+  Coroutine() {
+    void* map = ::mmap(nullptr, guard + kStackBytes, PROT_NONE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED) throw util::RuntimeError("sc_process: cannot map a thread stack");
+    stack = static_cast<char*>(map) + guard;
+    if (::mprotect(stack, kStackBytes, PROT_READ | PROT_WRITE) != 0) {
+      ::munmap(map, guard + kStackBytes);
+      throw util::RuntimeError("sc_process: cannot map a thread stack");
+    }
+    ::getcontext(&self);
+    self.uc_stack.ss_sp = stack;
+    self.uc_stack.ss_size = kStackBytes;
+    ::makecontext(&self, &sc_process::coroutine_main, 0);
+    NISC_TSAN(fiber = __tsan_create_fiber(0));
+  }
+
+  ~Coroutine() {
+    NISC_TSAN(__tsan_destroy_fiber(fiber));
+    ::munmap(stack - guard, guard + kStackBytes);
+  }
+
+  /// Kernel side: runs the body until it switches out.
+  void switch_in() {
+    NISC_ASAN(void* caller_fake_stack = nullptr);
+    NISC_ASAN(__sanitizer_start_switch_fiber(&caller_fake_stack, stack, kStackBytes));
+    NISC_TSAN(caller_fiber = __tsan_get_current_fiber());
+    NISC_TSAN(__tsan_switch_to_fiber(fiber, 0));
+    ::swapcontext(&caller, &self);
+    NISC_ASAN(__sanitizer_finish_switch_fiber(caller_fake_stack, nullptr, nullptr));
+  }
+
+  /// Body side: the first thing after every switch in.
+  void entered() {
+    NISC_ASAN(__sanitizer_finish_switch_fiber(fake_stack, &caller_bottom, &caller_size));
+  }
+
+  /// Body side: back to the switch_in() that resumed it. A finished body is
+  /// never resumed, so its last switch drops ASan's record of its frames.
+  void switch_out(bool done) {
+    finished = done;
+    NISC_ASAN(__sanitizer_start_switch_fiber(done ? nullptr : &fake_stack, caller_bottom,
+                                             caller_size));
+    NISC_TSAN(__tsan_switch_to_fiber(caller_fiber, 0));
+    ::swapcontext(&self, &caller);
+    entered();
+  }
+};
+
 sc_process::sc_process(std::string name, process_kind kind, std::function<void()> body)
     : sc_object(std::move(name)), kind_(kind), body_(std::move(body)) {
   util::require(static_cast<bool>(body_), "sc_process: empty body");
@@ -122,82 +224,55 @@ bool sc_process::triggerable_by(const sc_event* event) const noexcept {
   if (kind_ != process_kind::Thread) return true;
   // Threads honour their current wait mode: a thread blocked in wait(event)
   // or wait(time) ignores static sensitivity.
-  if (!started_) return true;  // has not reached its first wait yet
+  if (!coroutine_) return true;  // has not reached its first wait yet
   return wait_mode_ == WaitMode::Static;
 }
 
 void sc_process::execute() {
   if (terminated_) return;
   ++run_count_;
+  const CurrentProcess current(this);
   if (kind_ != process_kind::Thread) {
-    sc_process* prev = g_current_process;
-    g_current_process = this;
-    try {
-      body_();
-    } catch (...) {
-      g_current_process = prev;
-      throw;
-    }
-    g_current_process = prev;
+    body_();
     return;
   }
-  if (!started_) {
-    started_ = true;
-    host_ = std::thread(&sc_process::thread_main, this);
-  }
-  resume_and_wait();
-  if (pending_exception_) {
-    std::exception_ptr ex = pending_exception_;
-    pending_exception_ = nullptr;
-    terminated_ = true;
-    std::rethrow_exception(ex);
-  }
+  resume();
+  if (pending_exception_) std::rethrow_exception(std::exchange(pending_exception_, nullptr));
 }
 
-void sc_process::thread_main() {
-  g_current_process = this;
-  {
-    std::unique_lock lock(mutex_);
-    cv_.wait(lock, [&] { return turn_ == Turn::Process; });
+void sc_process::coroutine_main() {
+  sc_process* self = g_current_process;  // set by the execute() that started us
+  self->coroutine_->entered();
+  try {
+    self->body_();
+  } catch (KillException&) {
+    // normal termination path during kill()
+  } catch (...) {
+    self->pending_exception_ = std::current_exception();
   }
-  if (!kill_requested_) {
-    try {
-      body_();
-    } catch (KillException&) {
-      // normal termination path during kill()
-    } catch (...) {
-      pending_exception_ = std::current_exception();
-    }
-  }
-  terminated_ = true;
-  {
-    std::lock_guard lock(mutex_);
-    turn_ = Turn::Kernel;
-  }
-  cv_.notify_all();
+  self->terminated_ = true;
+  self->coroutine_->switch_out(/*done=*/true);
 }
 
-void sc_process::resume_and_wait() {
-  std::unique_lock lock(mutex_);
-  turn_ = Turn::Process;
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return turn_ == Turn::Kernel; });
+void sc_process::resume() {
+  if (!coroutine_) coroutine_ = std::make_unique<Coroutine>();
+  coroutine_->switch_in();
+  if (coroutine_->finished) coroutine_.reset();
 }
 
 void sc_process::yield_to_kernel() {
-  std::unique_lock lock(mutex_);
-  turn_ = Turn::Kernel;
-  cv_.notify_all();
-  cv_.wait(lock, [&] { return turn_ == Turn::Process; });
+  coroutine_->switch_out(/*done=*/false);
   if (kill_requested_) throw KillException{};
 }
 
-void sc_process::kill() {
-  if (kind_ == process_kind::Thread && started_ && !terminated_) {
+void sc_process::kill() noexcept {
+  if (coroutine_) {
+    // Unwind the suspended body on its own stack: its wait() throws
+    // KillException, so the destructors of its locals run.
     kill_requested_ = true;
-    resume_and_wait();
+    const CurrentProcess current(this);
+    while (coroutine_) resume();
   }
-  if (host_.joinable()) host_.join();
   terminated_ = true;
   pending_exception_ = nullptr;
 }
@@ -247,7 +322,7 @@ sc_simcontext::sc_simcontext() : previous_current_(g_current_context) {
 }
 
 sc_simcontext::~sc_simcontext() {
-  kill_all_processes();
+  for (const auto& process : processes_) process->kill();
   // Owned objects are destroyed in reverse creation order, after every
   // process is dead, so thread unwinding can never observe destroyed state.
   while (!owned_objects_.empty()) owned_objects_.pop_back();
@@ -608,16 +683,6 @@ std::vector<sc_process*> sc_simcontext::process_list() const {
   out.reserve(processes_.size());
   for (const auto& process : processes_) out.push_back(process.get());
   return out;
-}
-
-void sc_simcontext::kill_all_processes() noexcept {
-  for (const auto& process : processes_) {
-    try {
-      process->kill();
-    } catch (...) {
-      // Destruction path must not throw.
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -18,17 +18,15 @@
 // simulations per process.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <span>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "sysc/sc_time.hpp"
@@ -111,8 +109,9 @@ class sc_event {
 enum class process_kind : std::uint8_t { Method, Thread, IssMethod };
 
 /// A simulation process: either a run-to-completion method or a cooperative
-/// thread (hosted on a std::thread, exactly one of kernel/process running
-/// at any instant).
+/// thread, a stackful coroutine on the kernel's host thread (as OSCI SystemC
+/// 2.0.1 ran them on QuickThreads), so exactly one of kernel/process runs at
+/// any instant.
 class sc_process : public sc_object {
  public:
   sc_process(std::string name, process_kind kind, std::function<void()> body);
@@ -150,7 +149,7 @@ class sc_process : public sc_object {
   void note_static_sensitized() noexcept { ++static_sensitivity_count_; }
 
   /// Terminates a thread process by unwinding it with a kill exception.
-  void kill();
+  void kill() noexcept;
 
   /// Process name as a stable interned C string, for trace-event emission
   /// (span records store the pointer, not a copy). Interns lazily.
@@ -164,19 +163,18 @@ class sc_process : public sc_object {
 
  private:
   enum class WaitMode : std::uint8_t { Static, Event, Timed };
-  enum class Turn : std::uint8_t { Kernel, Process };
 
   struct KillException {};
+  struct Coroutine;  // the thread's stack and saved contexts (kernel.cpp)
 
-  void thread_main();
+  static void coroutine_main();
+  void resume();
   void yield_to_kernel();
-  void resume_and_wait();
 
   process_kind kind_;
   std::function<void()> body_;
   bool dont_initialize_ = false;
   bool terminated_ = false;
-  bool started_ = false;
   std::uint64_t run_count_ = 0;
   std::size_t static_sensitivity_count_ = 0;
 
@@ -185,10 +183,7 @@ class sc_process : public sc_object {
   mutable const char* trace_name_ = nullptr;
 
   // thread machinery
-  std::thread host_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::Kernel;
+  std::unique_ptr<Coroutine> coroutine_;  ///< live from first dispatch until the body ends
   bool kill_requested_ = false;
   std::exception_ptr pending_exception_;
 };
@@ -448,7 +443,6 @@ class sc_simcontext {
   void run_one_delta();
   bool advance_time(const sc_time& limit);
   bool has_pending_activity() const noexcept;
-  void kill_all_processes() noexcept;
 
   sc_simcontext* previous_current_;
 

@@ -28,8 +28,10 @@ class sc_in : public sc_port_base {
   bool bound() const noexcept override { return signal_ != nullptr; }
   const char* port_kind() const noexcept override { return "sc_in"; }
 
+  // Reads and writes build their message only on failure: a bound access
+  // costs a branch.
   const T& read() const {
-    util::require(bound(), "sc_in " + name() + ": read before bind");
+    if (signal_ == nullptr) throw util::LogicError("sc_in " + name() + ": read before bind");
     return signal_->read();
   }
 
@@ -80,12 +82,12 @@ class sc_out : public sc_port_base {
   const char* port_kind() const noexcept override { return "sc_out"; }
 
   void write(const T& value) {
-    util::require(bound(), "sc_out " + name() + ": write before bind");
+    if (signal_ == nullptr) throw util::LogicError("sc_out " + name() + ": write before bind");
     signal_->write(value);
   }
 
   const T& read() const {
-    util::require(bound(), "sc_out " + name() + ": read before bind");
+    if (signal_ == nullptr) throw util::LogicError("sc_out " + name() + ": read before bind");
     return signal_->read();
   }
 

@@ -28,7 +28,12 @@ class RuntimeError : public std::runtime_error {
 };
 
 /// Throws LogicError with `msg` when `cond` is false. Used to check public
-/// API preconditions; always enabled (not tied to NDEBUG).
+/// API preconditions; always enabled (not tied to NDEBUG). A literal `msg`
+/// binds to the first overload, so a passing check costs only a branch; a
+/// message built from parts is built before the check, even when it passes.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw LogicError(msg);
+}
 inline void require(bool cond, const std::string& msg) {
   if (!cond) throw LogicError(msg);
 }

@@ -327,6 +327,37 @@ TEST_P(HealthyBaseline, AllTrafficDelivered) {
   }
 }
 
+// A drained run whose every session ended returns once a window moves no
+// traffic, with the counts that simulating on to the limit would give.
+class DeadSessionDrain : public ::testing::TestWithParam<std::tuple<Scheme, ipc::FaultKind>> {};
+
+TEST_P(DeadSessionDrain, EndsEarlyWithTheCountsOfARunToTheLimit) {
+  const auto [scheme, kind] = GetParam();
+  TestbenchConfig config = cell_config(scheme, ipc::Transport::Pipe);
+  config.fault_plan = plan_for(kind);
+  const sysc::sc_time limit = drain_limit(scheme);
+
+  Testbench drained(config);
+  drained.run_until_drained(limit);
+  Testbench full(config);
+  while (full.context().time_stamp() < limit) full.run_for(sysc::sc_time::from_ps(10000000));
+
+  const TestbenchReport a = drained.report();
+  const TestbenchReport b = full.report();
+  EXPECT_LT(a.sim_time.ps() * 10, limit.ps()) << "ended at " << a.sim_time.to_us() << " us";
+  EXPECT_EQ(b.sim_time, limit);
+  EXPECT_TRUE(drained.cosim_error().has_value());
+  EXPECT_EQ(a.produced, b.produced);
+  EXPECT_EQ(a.forwarded, b.forwarded);
+  EXPECT_EQ(a.received, b.received);
+  EXPECT_EQ(a.dropped_input + a.dropped_no_route + a.dropped_output,
+            b.dropped_input + b.dropped_no_route + b.dropped_output);
+  EXPECT_EQ(a.rsp_transactions, b.rsp_transactions);
+  EXPECT_EQ(a.breakpoint_events, b.breakpoint_events);
+  EXPECT_EQ(a.driver_messages, b.driver_messages);
+  EXPECT_EQ(drained.faults_injected(), full.faults_injected());
+}
+
 std::string scheme_tag(Scheme scheme) {
   switch (scheme) {
     case Scheme::GdbWrapper: return "GdbWrapper";
@@ -364,6 +395,15 @@ INSTANTIATE_TEST_SUITE_P(
       return scheme_tag(std::get<0>(info.param)) + "_" +
              ipc::transport_name(std::get<1>(info.param)) + "_" +
              kind_tag(std::get<2>(info.param));
+    });
+
+INSTANTIATE_TEST_SUITE_P(
+    EndedSessions, DeadSessionDrain,
+    ::testing::Values(std::tuple(Scheme::GdbKernel, ipc::FaultKind::Truncate),
+                      std::tuple(Scheme::GdbKernel, ipc::FaultKind::Duplicate),
+                      std::tuple(Scheme::DriverKernel, ipc::FaultKind::Disconnect)),
+    [](const auto& info) {
+      return scheme_tag(std::get<0>(info.param)) + "_" + kind_tag(std::get<1>(info.param));
     });
 
 INSTANTIATE_TEST_SUITE_P(

@@ -798,61 +798,5 @@ TEST(CaptureTest, WrappedDumpStillParsesAsFrames) {
   EXPECT_EQ(frames, 3u);
 }
 
-// ---------------------------------------------------------------- observer
-
-namespace {
-/// Counts callbacks; deliberately slow so callbacks overlap detach windows.
-class CountingObserver final : public WireObserver {
- public:
-  void on_wire(CaptureDir, std::span<const std::uint8_t>) override {
-    calls.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::yield();
-  }
-  std::atomic<std::uint64_t> calls{0};
-};
-}  // namespace
-
-TEST(ObserverRaceTest, AttachDetachWhileTrafficInFlight) {
-  // Regression test: attach_observer/observer publish the shared_ptr with
-  // atomic_load/atomic_store, so re-attaching a monitor while the peer is
-  // mid-traffic (what the supervisor does on recovery) must not race the
-  // sender's use of the previous observer. Run under TSan in CI.
-  ChannelPair pair = make_channel_pair(Transport::SocketPair);
-  auto observer = std::make_shared<CountingObserver>();
-  std::atomic<bool> stop{false};
-
-  std::thread sender([&] {
-    std::uint8_t byte = 0;
-    while (!stop.load(std::memory_order_relaxed)) {
-      pair.a.send({&byte, 1});
-      ++byte;
-    }
-  });
-  std::thread receiver([&] {
-    std::uint8_t buf[256];
-    while (true) {
-      if (pair.b.readable(20)) {
-        pair.b.recv_some(buf);
-      } else if (stop.load(std::memory_order_acquire)) {
-        return;  // wire is dry and the sender has been told to quit
-      }
-    }
-  });
-
-  for (int i = 0; i < 2000; ++i) {
-    pair.a.attach_observer(observer);
-    std::this_thread::yield();
-    pair.a.attach_observer(nullptr);  // detach mid-traffic
-  }
-  stop.store(true, std::memory_order_release);
-  sender.join();
-  receiver.join();
-
-  EXPECT_GT(observer->calls.load(), 0u);  // the tap really saw traffic
-  EXPECT_EQ(pair.a.observer(), nullptr);
-  pair.a.attach_observer(observer);
-  EXPECT_EQ(pair.a.observer(), observer);
-}
-
 }  // namespace
 }  // namespace nisc::ipc

@@ -7,6 +7,9 @@
 //   * With tracing disabled, ScopedSpan / instant / emit must perform zero
 //     heap allocations (counted via global operator new overrides).
 //   * Counter::add on the enabled path is allocation-free too.
+//   * So are the kernel's per-access checks: bound port reads and writes
+//     and a thread's wait() (last, because a kernel run touches the
+//     registry).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +18,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sysc/sysc.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
@@ -76,6 +80,47 @@ TEST(ObsOverheadTest, FirstRegistryTouchFlipsExists) {
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "Counter::add must not allocate";
   EXPECT_EQ(c.value(), 10000u);
+}
+
+TEST(ObsOverheadTest, PassingKernelChecksAllocateNothing) {
+  sysc::sc_simcontext ctx;
+  auto& in_sig = ctx.create<sysc::sc_signal<int>>("in_sig", 7);
+  auto& out_sig = ctx.create<sysc::sc_signal<int>>("out_sig", 0);
+  auto& in = ctx.create<sysc::sc_in<int>>("in");
+  auto& out = ctx.create<sysc::sc_out<int>>("out");
+  in.bind(in_sig);
+  out.bind(out_sig);
+  sysc::sc_event kick("kick");
+  std::uint64_t waits = 0;
+  auto& thread = ctx.create_thread("waiter", [&] {
+    for (;;) {
+      ++waits;
+      sysc::wait();
+    }
+  });
+  thread.make_sensitive(kick);
+  // Warm up: map the thread's stack, grow the kernel's queues and make the
+  // first write's value change (a steady value schedules no notification).
+  for (int i = 0; i < 3; ++i) {
+    out.write(in.read());
+    kick.notify();
+    ctx.run(sysc::sc_time{});
+  }
+  ASSERT_EQ(waits, 3u);
+
+  int sum = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1000; ++i) sum += in.read();
+  for (int i = 0; i < 1000; ++i) out.write(7);
+  for (int i = 0; i < 1000; ++i) {
+    kick.notify();
+    ctx.run(sysc::sc_time{});  // one resume: wait() returns and is called again
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u) << "bound port reads/writes and wait() must not allocate";
+  EXPECT_EQ(sum, 7000);
+  EXPECT_EQ(waits, 1003u);
+  EXPECT_EQ(out_sig.read(), 7);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 // signals, fifos, clocks, iss ports and kernel-extension hooks.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sysc/sysc.hpp"
@@ -425,6 +428,159 @@ TEST(ThreadTest, BlockedThreadKilledCleanlyAtTeardown) {
 TEST(ThreadTest, WaitOutsideProcessThrows) {
   sc_simcontext ctx;
   EXPECT_THROW(wait(1_ns), util::LogicError);
+}
+
+// ---------------------------------------------------------------- coroutines
+
+TEST(CoroutineTest, BodyRunsOnTheCallersHostThread) {
+  sc_simcontext ctx;
+  std::vector<std::thread::id> seen;
+  ctx.create_thread("t", [&] {
+    seen.push_back(std::this_thread::get_id());
+    wait(1_ns);
+    seen.push_back(std::this_thread::get_id());
+  });
+  ctx.run(10_ns);
+  EXPECT_EQ(seen, (std::vector<std::thread::id>(2, std::this_thread::get_id())));
+}
+
+TEST(CoroutineTest, TeardownRunsTheDestructorsOfASuspendedBody) {
+  struct Sentinel {
+    int* destroyed;
+    ~Sentinel() { ++*destroyed; }
+  };
+  int destroyed = 0;
+  {
+    sc_simcontext ctx;
+    sc_event never("never");
+    ctx.create_thread("t", [&] {
+      Sentinel outer{&destroyed};
+      Sentinel inner{&destroyed};
+      wait(never);
+    });
+    ctx.run(1_ns);
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, 2);
+}
+
+TEST(CoroutineTest, ThrowAfterAWaitPropagatesAndStaysTerminated) {
+  sc_simcontext ctx;
+  sc_event ev("ev");
+  int resumes = 0;
+  auto& t = ctx.create_thread("t", [&] {
+    wait(5_ns);
+    ++resumes;
+    throw std::runtime_error("guest fault after a wait");
+  });
+  t.make_sensitive(ev);
+  EXPECT_THROW(ctx.run(10_ns), std::runtime_error);
+  EXPECT_TRUE(t.terminated());
+  EXPECT_EQ(t.run_count(), 2u);
+
+  ev.notify(1_ns);  // static sensitivity must not revive it
+  ctx.run(10_ns);
+  EXPECT_EQ(t.run_count(), 2u);
+  EXPECT_EQ(resumes, 1);
+}
+
+TEST(CoroutineTest, ManyPingPongingThreadsResumeExactlyAndTearDown) {
+  constexpr int kPairs = 128;
+  constexpr std::uint64_t kRounds = 10;
+  sc_simcontext ctx;
+  std::vector<std::unique_ptr<sc_event>> events;
+  std::vector<const sc_process*> threads;
+  std::uint64_t handoffs = 0;
+  for (int p = 0; p < kPairs; ++p) {
+    sc_event& ping = *events.emplace_back(std::make_unique<sc_event>("ping"));
+    sc_event& pong = *events.emplace_back(std::make_unique<sc_event>("pong"));
+    threads.push_back(&ctx.create_thread("a", [&ping, &pong, &handoffs] {
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        ping.notify_delta();
+        wait(pong);
+        ++handoffs;
+      }
+    }));
+    threads.push_back(&ctx.create_thread("b", [&ping, &pong, &handoffs] {
+      for (;;) {
+        wait(ping);
+        ++handoffs;
+        pong.notify_delta();
+      }
+    }));
+  }
+  ctx.run(1_ns);
+
+  // Each thread runs to its first wait, then is resumed once per round.
+  std::uint64_t resumes = 0;
+  for (const sc_process* t : threads) resumes += t->run_count();
+  EXPECT_EQ(resumes, 2 * kPairs * (kRounds + 1));
+  EXPECT_EQ(handoffs, 2 * kPairs * kRounds);
+  for (int p = 0; p < kPairs; ++p) {
+    EXPECT_TRUE(threads[2 * p]->terminated());       // finished its rounds
+    EXPECT_FALSE(threads[2 * p + 1]->terminated());  // waits for one more ping
+  }
+  // Teardown kills the 128 suspended threads.
+}
+
+TEST(CoroutineTest, CurrentProcessFollowsEveryDispatch) {
+  sc_simcontext ctx;
+  sc_event ev("ev");
+  sc_event poke("poke");
+  std::vector<const sc_process*> seen_by_thread;
+  std::vector<const sc_process*> seen_by_method;
+  auto& t = ctx.create_thread("t", [&] {
+    for (;;) {
+      seen_by_thread.push_back(current_process());
+      poke.notify();  // immediate: the method runs right after this thread yields
+      wait(ev);
+    }
+  });
+  auto& m = ctx.create_method("m", [&] { seen_by_method.push_back(current_process()); });
+  m.make_sensitive(poke);
+  m.dont_initialize();
+  ev.notify(5_ns);
+  EXPECT_EQ(current_process(), nullptr);
+  ctx.run(10_ns);
+  EXPECT_EQ(seen_by_thread, (std::vector<const sc_process*>{&t, &t}));
+  EXPECT_EQ(seen_by_method, (std::vector<const sc_process*>{&m, &m}));
+  EXPECT_EQ(current_process(), nullptr);
+}
+
+TEST(CoroutineTest, NestedContextRunsToCompletionInsideAThreadBody) {
+  sc_simcontext outer;
+  std::vector<std::uint64_t> inner_stamps;
+  std::vector<const sc_process*> inner_seen;
+  const sc_process* after_inner = nullptr;
+  bool outer_done = false;
+  auto& outer_thread = outer.create_thread("outer", [&] {
+    wait(1_ns);
+    {
+      sc_simcontext inner;
+      sc_event never("never");
+      auto& counter = inner.create_thread("counter", [&] {
+        for (int i = 0; i < 3; ++i) {
+          inner_seen.push_back(current_process());
+          inner_stamps.push_back(inner.time_stamp().ps());
+          wait(10_ns);
+        }
+      });
+      inner.create_thread("idle", [&] {
+        for (;;) wait(never);
+      });
+      inner.run(100_ns);
+      EXPECT_TRUE(counter.terminated());
+      EXPECT_EQ(inner_seen, (std::vector<const sc_process*>(3, &counter)));
+    }  // kills "idle" from inside this coroutine
+    after_inner = current_process();
+    wait(1_ns);
+    outer_done = true;
+  });
+  outer.run(10_ns);
+  EXPECT_EQ(inner_stamps, (std::vector<std::uint64_t>{0, 10000, 20000}));
+  EXPECT_EQ(after_inner, &outer_thread);
+  EXPECT_TRUE(outer_done);
+  EXPECT_TRUE(outer_thread.terminated());
 }
 
 // ---------------------------------------------------------------- fifo
