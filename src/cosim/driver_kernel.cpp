@@ -6,6 +6,19 @@
 
 namespace nisc::cosim {
 
+namespace {
+
+/// True when every iss_in port a message names accepts a delivery now.
+bool deliverable(sysc::sc_simcontext& ctx, const ipc::DriverMessage& msg) {
+  for (const ipc::MsgItem& item : msg.items) {
+    const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
+    if (port != nullptr && port->is_input() && !port->accepts_delivery()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // DriverKernelExtension
 
@@ -13,15 +26,6 @@ DriverKernelExtension::DriverKernelExtension(ipc::Channel data, ipc::Channel int
                                              TimeBudget* budget, DriverKernelOptions options)
     : data_(std::move(data)), interrupts_(std::move(interrupts)), budget_(budget),
       options_(options) {}
-
-bool DriverKernelExtension::delivery_safe(sysc::sc_simcontext& ctx,
-                                          const sysc::iss_port_base* port) const {
-  auto it = last_delivery_delta_.find(port);
-  if (it == last_delivery_delta_.end()) return true;
-  // See GdbKernelExtension::delivery_safe: the sensitive iss_process runs
-  // two delta cycles after delivery.
-  return ctx.delta_count() >= it->second + 2;
-}
 
 void DriverKernelExtension::quiesce(const std::string& reason) {
   if (quiesced_) return;
@@ -44,13 +48,8 @@ void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   // Paper Fig. 5: "message to exchange?" at the start of the cycle.
   // Backlogged WRITEs (target port still draining) go first, in order.
   while (!backlog_.empty()) {
-    const ipc::DriverMessage& msg = backlog_.front();
-    bool safe = true;
-    for (const ipc::MsgItem& item : msg.items) {
-      const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
-      if (port != nullptr && port->is_input() && !delivery_safe(ctx, port)) safe = false;
-    }
-    if (!safe) return;  // preserve order: do not drain the channel past it
+    // Preserve order: do not drain the channel past a blocked WRITE.
+    if (!deliverable(ctx, backlog_.front())) return;
     ipc::DriverMessage head = std::move(backlog_.front());
     backlog_.pop_front();
     handle_message(ctx, head);
@@ -58,16 +57,9 @@ void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   try {
     while (auto msg = ipc::try_recv_message(data_)) {
       ++stats_.messages_in;
-      if (msg->type == ipc::MsgType::Write) {
-        bool safe = true;
-        for (const ipc::MsgItem& item : msg->items) {
-          const sysc::iss_port_base* port = ctx.find_iss_port(item.port);
-          if (port != nullptr && port->is_input() && !delivery_safe(ctx, port)) safe = false;
-        }
-        if (!safe) {
-          backlog_.push_back(std::move(*msg));
-          return;
-        }
+      if (msg->type == ipc::MsgType::Write && !deliverable(ctx, *msg)) {
+        backlog_.push_back(std::move(*msg));
+        return;
       }
       handle_message(ctx, *msg);
     }
@@ -99,7 +91,6 @@ void DriverKernelExtension::handle_message(sysc::sc_simcontext& ctx,
           continue;  // drop the malformed item, keep the session alive
         }
         port->deliver_bytes(item.data);
-        last_delivery_delta_[port] = ctx.delta_count();
         ++stats_.words_delivered;
       }
       break;

@@ -30,7 +30,8 @@
 namespace nisc::cosim {
 
 struct DriverKernelOptions {
-  /// ISS instructions granted per microsecond of simulated time.
+  /// CPU cycles per simulated µs (instructions per µs at one cycle per
+  /// instruction). The RTOS costs are paid out of the same cycles.
   std::uint64_t instructions_per_us = 10000;
   /// Push iss_out values to the driver as soon as hardware writes them
   /// (asynchronous data flow). When false, the driver must send READ
@@ -94,8 +95,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   /// idempotent.
   void quiesce(const std::string& reason);
 
-  bool delivery_safe(sysc::sc_simcontext& ctx, const sysc::iss_port_base* port) const;
-
   ipc::Channel data_;
   ipc::Channel interrupts_;
   TimeBudget* budget_;
@@ -103,7 +102,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   std::deque<std::uint32_t> pending_interrupts_;
   /// Messages whose target port is still draining a previous delivery.
   std::deque<ipc::DriverMessage> backlog_;
-  std::map<const sysc::iss_port_base*, std::uint64_t> last_delivery_delta_;
   bool quiesced_ = false;
   std::optional<CosimError> error_;
   DriverKernelStats stats_;

@@ -44,16 +44,6 @@ void GdbKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_ti
   if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
 }
 
-bool GdbKernelExtension::delivery_safe(sysc::sc_simcontext& ctx,
-                                       sysc::iss_port_base* port) const {
-  auto it = last_delivery_delta_.find(port);
-  if (it == last_delivery_delta_.end()) return true;
-  // A value delivered at delta N wakes its iss_process in delta N+1's
-  // evaluate phase, which runs *after* delta N+1's cycle_begin hook — so the
-  // port is free for a new value only from delta N+2 on.
-  return ctx.delta_count() >= it->second + 2;
-}
-
 void GdbKernelExtension::fail(sysc::sc_simcontext& ctx, const std::string& what) {
   finished_ = true;
   if (budget_ != nullptr) budget_->close();
@@ -128,11 +118,10 @@ bool GdbKernelExtension::service_stop(sysc::sc_simcontext& ctx, const rsp::StopR
   const BreakpointBinding& binding = *it->second;
   sysc::iss_port_base* port = ctx.find_iss_port(binding.port);
   if (binding.direction == BindDirection::IssToSc) {
-    if (!delivery_safe(ctx, port)) return false;  // defer; ISS stays halted
+    if (!port->accepts_delivery()) return false;  // defer; ISS stays halted
     // The guest just wrote the variable: fetch it and feed the iss_in port.
     auto bytes = client_.read_memory(binding.variable_addr, binding.width);
     port->deliver_bytes(bytes);
-    last_delivery_delta_[port] = ctx.delta_count();
     ++stats_.values_to_sc;
   } else {
     // The guest is about to read the variable: inject the port's value.

@@ -31,8 +31,8 @@
 namespace nisc::cosim {
 
 struct GdbKernelOptions {
-  /// ISS instructions granted per microsecond of simulated time (the CPU's
-  /// nominal speed relative to the hardware clock).
+  /// CPU cycles per simulated µs (instructions per µs at one cycle per
+  /// instruction): the CPU's nominal speed relative to the hardware clock.
   std::uint64_t instructions_per_us = 10000;
 };
 
@@ -74,10 +74,6 @@ class GdbKernelExtension : public sysc::kernel_extension {
   /// Returns false when the stop must stay deferred (port still draining).
   bool service_stop(sysc::sc_simcontext& ctx, const rsp::StopReply& stop);
 
-  /// True when delivering into `port` now cannot overwrite a value whose
-  /// iss_process has not run yet (it runs two delta cycles after delivery).
-  bool delivery_safe(sysc::sc_simcontext& ctx, sysc::iss_port_base* port) const;
-
   rsp::GdbClient& client_;
   TimeBudget* budget_;
   std::vector<BreakpointBinding> bindings_;
@@ -88,7 +84,6 @@ class GdbKernelExtension : public sysc::kernel_extension {
   /// A stop whose iss_in delivery must wait for the port to drain. The ISS
   /// stays halted meanwhile: natural backpressure.
   std::optional<rsp::StopReply> deferred_stop_;
-  std::map<const sysc::iss_port_base*, std::uint64_t> last_delivery_delta_;
   GdbKernelStats stats_;
   /// stats_ values already pushed into the metrics registry (on_run_end
   /// publishes the delta, so the per-cycle poll path stays counter-free).

@@ -7,8 +7,6 @@ namespace nisc::cosim {
 
 namespace {
 
-/// Instructions per stub continue-slice between transport polls.
-constexpr std::uint64_t kStubQuantum = 1024;
 /// Transfers each session's wire capture keeps for post-mortems.
 constexpr std::size_t kCaptureFrames = 32;
 
@@ -42,14 +40,9 @@ GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
     unread_ = true;
     return step();
   });
-  rsp::StubOptions stub_options;
-  stub_options.quantum = kStubQuantum;
-  stub_options.acquire_quantum = [this](std::uint64_t want) { return budget_.acquire(want); };
-  // A halted CPU does not consume simulated time: its allowance burns off.
-  stub_options.on_run_state = [this](bool running) { budget_.set_idle(!running); };
   budget_.set_idle(true);  // the stub starts halted
   budget_.set_consumer([this] { step(); });
-  stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(pair.a), std::move(stub_options));
+  stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(pair.a));
   client_ = std::make_unique<rsp::GdbClient>(std::move(pair.b));
 }
 
@@ -59,8 +52,17 @@ bool GdbTarget::step() {
   if (!unread_ && !stub_->running()) return false;
   // A suppressed or short read can leave part of a request behind: keep
   // stepping until a step that finds no work also finds the wire drained.
-  const bool worked = stub_->poll();
+  bool worked = stub_->poll();
   if (!worked && unread_) unread_ = stub_->input_pending();
+  while (budget_.ready()) {
+    const std::uint64_t cycles_before = cpu_->cycles();
+    if (!stub_->run_slice(TimeBudget::kSlice)) break;  // halted or ended
+    worked = true;
+    budget_.charge(cpu_->cycles() - cycles_before);
+  }
+  // A halted CPU does not consume simulated time: its allowance burns off,
+  // once the debt of its last slice is paid.
+  budget_.set_idle(!stub_->running());
   if (stub_->done()) budget_.close();  // killed, detached or disconnected
   return worked || unread_;
 }
@@ -159,9 +161,7 @@ bool DriverTarget::wake_pending() {
 
 bool DriverTarget::step() {
   bool ran = false;
-  while (!finished_ && !budget_.closed()) {
-    debt_ -= budget_.acquire(debt_);
-    if (debt_ > 0) return ran;  // the last slice is not paid for yet
+  while (!finished_ && budget_.ready()) {
     const bool was_idle = last_status_ == rtos::RunStatus::Idle;
     if (was_idle) {
       // Every guest thread waits on a device read: the CPU idles, burning
@@ -173,9 +173,10 @@ bool DriverTarget::step() {
       budget_.set_idle(false);
     }
     const std::uint64_t cycles_before = cpu_->cycles();
-    last_status_ = kernel_->run(kRunQuantum);
+    last_status_ = kernel_->run(TimeBudget::kSlice);
     ran = true;
-    debt_ = cpu_->cycles() - cycles_before;
+    const std::uint64_t cycles = cpu_->cycles() - cycles_before;
+    budget_.charge(cycles);
     switch (last_status_) {
       case rtos::RunStatus::AllDone:
         finished_ = true;
@@ -186,7 +187,7 @@ bool DriverTarget::step() {
         finished_ = true;
         return ran;
       case rtos::RunStatus::Idle:
-        if (was_idle && debt_ == 0) {
+        if (was_idle && cycles == 0) {
           // Woken, but the driver read nothing (say, its poll was
           // suppressed): retry at the next deposit.
           budget_.set_idle(true);

@@ -8,9 +8,13 @@
 // ISS + eCos-like RTOS + device driver (for the Driver-Kernel scheme).
 //
 // A target runs at two kinds of points, both on the kernel thread: after
-// each TimeBudget deposit (it spends the allowance at once), and whenever a
-// kernel-side endpoint sends to it or waits for its reply (the endpoint's
-// inline-peer hook). No guest code runs before the first deposit or send.
+// each TimeBudget deposit, and whenever a kernel-side endpoint sends to it or
+// waits for its reply (the endpoint's inline-peer hook). No guest code runs
+// before the first deposit or send. Both targets spend CPU time by the
+// budget's one rule: while the guest runs and the budget is ready, run a
+// slice of TimeBudget::kSlice instructions, then charge the cycles it cost.
+// A slice therefore runs as soon as the target is stepped (for the GDB
+// target, at the 'c' that resumes it), and later deposits pay for it.
 //
 // No wait on a session wire keeps a clock: a reply that is not on the wire
 // once the target's step goes idle never comes, so the wait fails at once,
@@ -75,11 +79,11 @@ class GdbTarget {
   iss::Cpu& cpu() noexcept { return *cpu_; }
 
   /// Polls the stub once: it handles pending packets and, while the guest
-  /// runs, spends the budget's allowance. A halted stub with no unread
-  /// request has nothing to do and is skipped. A stub that ended closes the
-  /// budget. Called by budget deposits and by the client's inline-peer hook.
-  /// Returns false when the stub is idle: it did nothing and holds no
-  /// unread request.
+  /// runs and the budget is ready, runs slices and charges their cycles. A
+  /// halted stub with no unread request has nothing to do and is skipped. A
+  /// stub that ended closes the budget. Called by budget deposits and by the
+  /// client's inline-peer hook. Returns false when the stub is idle: it did
+  /// nothing and holds no unread request.
   bool step();
 
   /// Halts and kills the stub over RSP, then closes the budget (idempotent).
@@ -124,10 +128,6 @@ struct DriverTargetConfig {
 
 class DriverTarget {
  public:
-  /// Guest instructions the RTOS runs per slice before the target pays the
-  /// slice's cycle cost against the budget.
-  static constexpr std::uint64_t kRunQuantum = 2048;
-
   /// Assembles `guest_source` (the RTOS ABI prelude is prepended) and
   /// boots the RTOS with an ScPortDriver as device 0.
   explicit DriverTarget(const std::string& guest_source, DriverTargetConfig config);
@@ -151,14 +151,12 @@ class DriverTarget {
   /// Kernel-side data-port wire capture.
   const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
 
-  /// Runs the guest as far as the allowance reaches. Pay-after accounting in
-  /// CPU *cycles*: OS overhead (syscalls, context switches, ISR entry) is
-  /// charged as cycles by the RTOS model and must slow the guest down in
-  /// simulated time — the paper's Figure 7 effect. A slice starts once the
-  /// previous one is paid for, and its cycle cost is debt that later
-  /// deposits settle. A guest whose threads all wait on device reads runs
-  /// again only when the kernel sent it bytes it has not read, or an irq.
-  /// Returns true when it ran the guest.
+  /// Runs the guest as far as the allowance reaches, by the budget's
+  /// pay-after rule. OS overhead (syscalls, context switches, ISR entry) is
+  /// charged as cycles by the RTOS model and slows the guest down in
+  /// simulated time: the paper's Figure 7 effect. A guest whose threads all
+  /// wait on device reads runs again only when the kernel sent it bytes it
+  /// has not read, or an irq. Returns true when it ran the guest.
   bool step();
 
   /// Ends stepping by closing the budget (idempotent).
@@ -185,8 +183,7 @@ class DriverTarget {
   ipc::Channel irq_target_side_;
   std::shared_ptr<ipc::FaultState> fault_state_;
   std::shared_ptr<ipc::WireCapture> capture_;
-  std::uint64_t debt_ = 0;  ///< cycles of the last slice not yet paid for
-  bool unread_ = false;     ///< the kernel sent data the driver may not have read
+  bool unread_ = false;  ///< the kernel sent data the driver may not have read
   bool finished_ = false;
   rtos::RunStatus last_status_ = rtos::RunStatus::Budget;
 };

@@ -1,14 +1,19 @@
 // TimeBudget: correlates ISS execution with SystemC simulated time.
 //
-// The SystemC kernel deposits an instruction allowance as simulated time
+// The SystemC kernel deposits an allowance of CPU cycles as simulated time
 // advances (modeling the CPU's nominal frequency); the in-process target
-// running the ISS withdraws it. Both sides live on the kernel thread: each
-// deposit runs the target (the budget's consumer) at once, so it spends its
-// allowance before simulated time moves on, and the same deposits always
-// buy the same guest progress.
+// running the ISS spends it by one rule, pay-after, under both
+// budget-metered schemes. A target runs a slice of kSlice instructions as
+// soon as the previous slice is paid for, then charges the cycles the slice
+// cost: CycleModel cycles, plus the RTOS costs under Driver-Kernel. What the
+// banked allowance cannot cover is debt, and later deposits pay it before
+// they bank anything. Both sides live on the kernel thread: each deposit runs
+// the target (the budget's consumer) at once, so it spends its allowance
+// before simulated time moves on, and the same deposits always buy the same
+// guest progress.
 //
 // Whoever ends a session (the target when its stub exits, a kernel extension
-// on a transport failure) closes the budget: a closed budget grants nothing
+// on a transport failure) closes the budget: a closed budget is never ready
 // and steps its consumer no more.
 #pragma once
 
@@ -19,27 +24,36 @@ namespace nisc::cosim {
 
 class TimeBudget {
  public:
-  /// `cap` bounds accumulation so a stalled ISS cannot bank unbounded credit
-  /// and later sprint arbitrarily far ahead of hardware time.
-  explicit TimeBudget(std::uint64_t cap = 1 << 20) : cap_(cap) {}
+  /// Guest instructions a target runs per slice before it charges the
+  /// slice's cycle cost.
+  static constexpr std::uint64_t kSlice = 2048;
+  /// Bounds accumulation so a stalled ISS cannot bank unbounded credit and
+  /// later sprint arbitrarily far ahead of hardware time.
+  static constexpr std::uint64_t kCap = 1 << 20;
 
   /// The target that spends this allowance; run after every deposit.
   void set_consumer(std::function<void()> consumer) { consumer_ = std::move(consumer); }
 
-  /// Adds `tokens` instructions of allowance, then runs the consumer.
-  void deposit(std::uint64_t tokens);
+  /// Adds `cycles` of allowance, then runs the consumer. The deposit pays
+  /// the debt first and banks only the rest, so an idle CPU burns only what
+  /// is left after its last slice is paid for.
+  void deposit(std::uint64_t cycles);
 
   /// Deposits the allowance for the simulated time elapsed since the
-  /// previous call, at `instructions_per_us`. Fractional instructions carry
-  /// over to the next call.
-  void advance_to(std::uint64_t now_ps, std::uint64_t instructions_per_us);
+  /// previous call, at `cycles_per_us`. Fractional cycles carry over to the
+  /// next call.
+  void advance_to(std::uint64_t now_ps, std::uint64_t cycles_per_us);
 
-  /// Withdraws up to `want` instructions; returns the granted amount (0 when
-  /// nothing is banked or the budget is closed). Never waits.
-  std::uint64_t acquire(std::uint64_t want);
+  /// True while the budget is open and owes nothing: the target may run its
+  /// next slice.
+  bool ready() const noexcept { return !closed_ && debt_ == 0; }
+
+  /// Pays a slice's `cycles` out of the banked allowance and books the rest
+  /// as debt.
+  void charge(std::uint64_t cycles);
 
   /// Marks the consumer as idle: an idle CPU burns its allowance doing
-  /// nothing, so deposits are discarded until the consumer wakes.
+  /// nothing, so deposits bank nothing until the consumer wakes.
   void set_idle(bool idle);
 
   /// Ends time correlation for good (teardown, a failed session, or the
@@ -48,11 +62,12 @@ class TimeBudget {
 
   bool closed() const noexcept { return closed_; }
   std::uint64_t available() const noexcept { return tokens_; }
+  std::uint64_t debt() const noexcept { return debt_; }
 
  private:
   std::function<void()> consumer_;
   std::uint64_t tokens_ = 0;
-  std::uint64_t cap_;
+  std::uint64_t debt_ = 0;
   bool closed_ = false;
   bool idle_ = false;
   std::uint64_t last_time_ps_ = 0;

@@ -269,11 +269,6 @@ Channel TcpListener::accept(int timeout_ms) {
   return finish_tcp_socket(Fd(fd));
 }
 
-Channel TcpListener::try_accept() {
-  if (!poll_readable(listen_fd_, 0)) return Channel();
-  return accept(0);
-}
-
 Channel tcp_connect(std::uint16_t port) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw RuntimeError(std::string("socket: ") + std::strerror(errno));

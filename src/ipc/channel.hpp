@@ -206,10 +206,6 @@ class TcpListener {
   /// RuntimeError("accept: timed out...") on expiry.
   Channel accept(int timeout_ms = -1);
 
-  /// Non-blocking accept: returns an invalid Channel when nobody is
-  /// waiting.
-  Channel try_accept();
-
  private:
   Fd listen_fd_;
   std::uint16_t port_ = 0;

@@ -14,7 +14,6 @@ const char* halt_name(Halt halt) noexcept {
     case Halt::Quantum: return "quantum";
     case Halt::IllegalInstruction: return "illegal-instruction";
     case Halt::MemoryFault: return "memory-fault";
-    case Halt::Stopped: return "stopped";
   }
   return "?";
 }
@@ -24,7 +23,6 @@ void Cpu::reset(std::uint32_t pc) noexcept {
   pc_ = pc;
   instret_ = 0;
   cycles_ = 0;
-  stop_requested_ = false;
   watch_pending_ = false;
   last_halt_ = Halt::None;
 }
@@ -243,10 +241,6 @@ Halt Cpu::execute(const Instr& in) {
 }
 
 Halt Cpu::run(std::uint64_t max_instructions) {
-  if (stop_requested_) {
-    stop_requested_ = false;
-    return last_halt_ = Halt::Stopped;
-  }
   const std::uint64_t instret_begin = instret_;
   std::uint64_t breakpoint_checks = 0;
   Halt halt = Halt::Quantum;
@@ -262,11 +256,6 @@ Halt Cpu::run(std::uint64_t max_instructions) {
         halt = Halt::Breakpoint;
         break;
       }
-    }
-    if (stop_requested_) {
-      stop_requested_ = false;
-      halt = Halt::Stopped;
-      break;
     }
   }
   // Batched publication: the per-instruction loop stays registry-free; each

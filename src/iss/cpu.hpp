@@ -32,7 +32,6 @@ enum class Halt : std::uint8_t {
   Quantum,      ///< instruction budget exhausted (run(max) only)
   IllegalInstruction,
   MemoryFault,
-  Stopped,      ///< stop() was requested externally
 };
 
 const char* halt_name(Halt halt) noexcept;
@@ -112,10 +111,6 @@ class Cpu {
   /// Address whose watchpoint fired last (valid after Halt::Watchpoint).
   std::uint32_t watch_hit_addr() const noexcept { return watch_hit_addr_; }
 
-  /// Requests the current/next run() to stop (callable from other threads
-  /// only between run() calls; the co-simulation layer serializes access).
-  void request_stop() noexcept { stop_requested_ = true; }
-
   // -- execution --------------------------------------------------------------
 
   void set_ecall_handler(EcallHandler handler) { ecall_handler_ = std::move(handler); }
@@ -148,7 +143,6 @@ class Cpu {
   std::map<std::uint32_t, std::uint32_t> watchpoints_;
   std::uint32_t watch_hit_addr_ = 0;
   bool watch_pending_ = false;
-  bool stop_requested_ = false;
   Halt last_halt_ = Halt::None;
   EcallHandler ecall_handler_;
   TraceHook trace_hook_;

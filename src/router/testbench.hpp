@@ -39,7 +39,9 @@ struct TestbenchConfig {
   std::size_t fifo_capacity = 8;
   int address_space = 16;
   std::uint64_t seed = 42;
-  /// Simulated CPU speed: ISS instructions per simulated microsecond.
+  /// Simulated CPU speed: CPU cycles per simulated µs (instructions per µs
+  /// at one cycle per instruction). The GDB-Wrapper steps its lock-step
+  /// quantum in instructions, at one cycle per instruction.
   std::uint64_t instructions_per_us = 400000;
   /// RTOS cost model (Driver-Kernel only).
   rtos::RtosConfig rtos;

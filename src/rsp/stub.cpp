@@ -22,8 +22,7 @@ std::optional<std::uint64_t> parse_hex(std::string_view text) {
 
 }  // namespace
 
-GdbStub::GdbStub(iss::Cpu& cpu, ipc::Channel channel, StubOptions options)
-    : cpu_(cpu), channel_(std::move(channel)), options_(std::move(options)) {}
+GdbStub::GdbStub(iss::Cpu& cpu, ipc::Channel channel) : cpu_(cpu), channel_(std::move(channel)) {}
 
 bool GdbStub::poll() {
   if (done_) return false;
@@ -35,10 +34,6 @@ bool GdbStub::poll() {
       if (!event) break;
       handle_event(*event);
       progressed = true;
-    }
-    while (!done_ && state_ == State::Running && run_slice()) {
-      progressed = true;
-      if (!options_.acquire_quantum) break;  // unthrottled: one slice per poll
     }
   } catch (const util::RuntimeError&) {
     done_ = true;  // peer gone, or a fault cut the transport mid-reply
@@ -79,7 +74,6 @@ void GdbStub::handle_event(const RspEvent& event) {
     case RspEventKind::Interrupt:
       if (state_ == State::Running) {
         state_ = State::Halted;
-        if (options_.on_run_state) options_.on_run_state(false);
         send_packet("S02");  // SIGINT
         ++stats_.stop_replies;
       }
@@ -116,16 +110,17 @@ void GdbStub::send_stop_reply(iss::Halt halt) {
   }
 }
 
-bool GdbStub::run_slice() {
-  std::uint64_t budget = options_.quantum;
-  if (options_.acquire_quantum) budget = options_.acquire_quantum(budget);
-  if (budget == 0) return false;
+bool GdbStub::run_slice(std::uint64_t max_instructions) {
+  if (done_ || state_ != State::Running) return false;
   ++stats_.continue_slices;
-  iss::Halt halt = cpu_.run(budget);
+  const iss::Halt halt = cpu_.run(max_instructions);
   if (halt == iss::Halt::Quantum) return true;  // keep running next slice
   state_ = State::Halted;
-  if (options_.on_run_state) options_.on_run_state(false);
-  send_stop_reply(halt);
+  try {
+    send_stop_reply(halt);
+  } catch (const util::RuntimeError&) {
+    done_ = true;  // peer gone, or a fault cut the transport mid-reply
+  }
   return true;
 }
 
@@ -168,7 +163,6 @@ void GdbStub::handle_packet(const std::string& payload) {
         if (auto addr = parse_hex(args)) cpu_.set_pc(static_cast<std::uint32_t>(*addr));
       }
       state_ = State::Running;
-      if (options_.on_run_state) options_.on_run_state(true);
       return;  // reply (stop packet) is deferred until the CPU halts
     }
     case 's': {

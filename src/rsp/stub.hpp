@@ -12,32 +12,19 @@
 //   qSupported, qAttached, H..., D            handshaking odds and ends
 //
 // The stub is passive: whoever hosts it calls poll(), which handles the
-// pending packets and, while the CPU runs (after 'c'), executes quantum
-// slices. An optional throttle callback meters instructions (the
-// co-simulation layer uses it to bind ISS progress to SystemC time), and the
-// 0x03 interrupt byte halts the target.
+// pending packets, and, while the CPU runs (after 'c'), run_slice(), which
+// executes one slice of the host's choosing. The host decides how many
+// slices to run (the co-simulation layer pays for each against SystemC
+// time), and the 0x03 interrupt byte halts the target.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "ipc/channel.hpp"
 #include "iss/cpu.hpp"
 #include "rsp/packet.hpp"
 
 namespace nisc::rsp {
-
-struct StubOptions {
-  /// Instructions per continue-slice between transport polls.
-  std::uint64_t quantum = 4096;
-  /// Optional throttle: given the desired instruction count, returns how
-  /// many the CPU may execute now (0: none yet). Used for time correlation.
-  std::function<std::uint64_t(std::uint64_t)> acquire_quantum;
-  /// Optional run-state notification: called with true when the target
-  /// starts free-running ('c') and false when it halts. The co-simulation
-  /// layer uses it to mark the CPU's time allowance idle while halted.
-  std::function<void(bool running)> on_run_state;
-};
 
 /// Statistics exposed for benchmarks/tests.
 struct StubStats {
@@ -48,14 +35,16 @@ struct StubStats {
 
 class GdbStub {
  public:
-  GdbStub(iss::Cpu& cpu, ipc::Channel channel, StubOptions options = {});
+  GdbStub(iss::Cpu& cpu, ipc::Channel channel);
 
   /// One step, never blocking: checks the transport once (readable(0),
-  /// then a read), handles every complete packet, and while the CPU runs
-  /// executes slices for as long as the throttle grants instructions (one
-  /// slice when there is no throttle). Returns true when it handled a
-  /// packet or ran a slice.
+  /// then a read) and handles every complete packet. Returns true when it
+  /// handled a packet.
   bool poll();
+
+  /// While the CPU runs, executes up to `max_instructions` and sends the
+  /// stop reply if the guest halted. Returns true when it ran a slice.
+  bool run_slice(std::uint64_t max_instructions);
 
   /// True once the stub ended: 'k' (kill), 'D' (detach), or a transport
   /// EOF/error. Later polls do nothing.
@@ -77,8 +66,6 @@ class GdbStub {
   void pump_transport();
   void handle_event(const RspEvent& event);
   void handle_packet(const std::string& payload);
-  /// Returns false when the throttle granted no instructions.
-  bool run_slice();
   void send_packet(const std::string& payload);
   void send_stop_reply(iss::Halt halt);
 
@@ -92,7 +79,6 @@ class GdbStub {
 
   iss::Cpu& cpu_;
   ipc::Channel channel_;
-  StubOptions options_;
   PacketReader reader_;
   State state_ = State::Halted;
   bool done_ = false;

@@ -65,6 +65,13 @@ class iss_port_base : public sc_object {
   /// Number of values that crossed the ISS boundary through this port.
   std::uint64_t transfer_count() const noexcept { return transfers_; }
 
+  /// True when a delivery now cannot overwrite a value whose iss_process
+  /// has not run yet. A value delivered at delta N wakes its iss_process in
+  /// delta N+1's evaluate phase, which runs *after* delta N+1's cycle_begin
+  /// hook (where the kernel extensions deliver), so the port is free for a
+  /// new value only from delta N+2 on.
+  bool accepts_delivery() const noexcept { return context().delta_count() >= free_from_delta_; }
+
   /// Delta-notified whenever a value lands in the port (deliver or write).
   sc_event& written_event() noexcept { return written_; }
   sc_event& default_event() noexcept { return written_; }
@@ -78,12 +85,15 @@ class iss_port_base : public sc_object {
     fresh_ = fresh;
   }
 
+  void mark_delivery() noexcept { free_from_delta_ = context().delta_count() + 2; }
+
  private:
   Direction direction_;
   sc_event written_;
   sc_event consumed_;
   bool fresh_ = false;
   std::uint64_t transfers_ = 0;
+  std::uint64_t free_from_delta_ = 0;
 };
 
 /// ISS -> SystemC data port.
@@ -101,6 +111,7 @@ class iss_in : public iss_port_base {
   void deliver(const T& value) {
     value_ = value;
     mark_transfer(true);
+    mark_delivery();
     written_event().notify_delta();
   }
 

@@ -403,18 +403,25 @@ void sc_simcontext::run_one_delta() {
   }
   // Evaluate phase. Immediate notifications may append to the worklist.
   std::size_t i = 0;
-  while (i < runnable_.size()) {
-    sc_process* p = runnable_[i++];
-    p->runnable_flag = false;
-    if (tracing && p->kind() == process_kind::IssMethod) {
-      // The paper's iss_process: dispatched only when data crosses the ISS
-      // boundary, so each activation is worth a span of its own.
-      obs::ScopedSpan span(p->trace_name(), "kernel.iss_process");
-      p->execute();
-    } else {
-      p->execute();
+  try {
+    while (i < runnable_.size()) {
+      sc_process* p = runnable_[i++];
+      p->runnable_flag = false;
+      if (tracing && p->kind() == process_kind::IssMethod) {
+        // The paper's iss_process: dispatched only when data crosses the ISS
+        // boundary, so each activation is worth a span of its own.
+        obs::ScopedSpan span(p->trace_name(), "kernel.iss_process");
+        p->execute();
+      } else {
+        p->execute();
+      }
+      ++stats_.process_dispatches;
     }
-    ++stats_.process_dispatches;
+  } catch (...) {
+    // Keep the kernel usable: the processes already dispatched, the thrower
+    // included, leave the worklist, so the next run() goes on after them.
+    runnable_.erase(runnable_.begin(), runnable_.begin() + static_cast<std::ptrdiff_t>(i));
+    throw;
   }
   runnable_.clear();
   // Update phase.

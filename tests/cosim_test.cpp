@@ -19,25 +19,51 @@ using namespace nisc::sysc::time_literals;
 
 // ---------------------------------------------------------------- TimeBudget
 
-TEST(TimeBudgetTest, DepositThenAcquire) {
+TEST(TimeBudgetTest, ChargePaysFromTheAllowanceAndBooksTheRestAsDebt) {
   TimeBudget budget;
   budget.deposit(100);
-  EXPECT_EQ(budget.acquire(60), 60u);
-  EXPECT_EQ(budget.acquire(60), 40u);  // partial grant
+  EXPECT_TRUE(budget.ready());
+  budget.charge(60);
+  EXPECT_EQ(budget.available(), 40u);
+  EXPECT_TRUE(budget.ready());
+  budget.charge(60);  // 40 paid now, 20 owed
+  EXPECT_EQ(budget.available(), 0u);
+  EXPECT_EQ(budget.debt(), 20u);
+  EXPECT_FALSE(budget.ready());
+  budget.deposit(30);  // pays the 20, banks 10
+  EXPECT_EQ(budget.debt(), 0u);
+  EXPECT_EQ(budget.available(), 10u);
+  EXPECT_TRUE(budget.ready());
+}
+
+TEST(TimeBudgetTest, DepositPaysTheDebtBeforeAnIdleCpuBurnsItsSurplus) {
+  // A stub halts at a breakpoint in the middle of a slice and still owes
+  // for it: while it idles, deposits pay that debt, and only what is left
+  // over burns.
+  TimeBudget budget;
+  budget.charge(100);
+  budget.set_idle(true);
+  budget.deposit(60);
+  EXPECT_EQ(budget.debt(), 40u);
+  EXPECT_FALSE(budget.ready());
+  budget.deposit(60);  // 40 pays the debt, 20 burns
+  EXPECT_EQ(budget.debt(), 0u);
+  EXPECT_EQ(budget.available(), 0u);
+  EXPECT_TRUE(budget.ready());
 }
 
 TEST(TimeBudgetTest, AdvanceToCarriesFractionalInstructions) {
   TimeBudget budget;
-  budget.advance_to(500000, 3);  // 1.5 instructions: 1 now, 0.5 carried
+  budget.advance_to(500000, 3);  // 1.5 cycles: 1 now, 0.5 carried
   EXPECT_EQ(budget.available(), 1u);
   budget.advance_to(1000000, 3);  // 1.5 + 0.5
   EXPECT_EQ(budget.available(), 3u);
 }
 
 TEST(TimeBudgetTest, CapBoundsAccumulation) {
-  TimeBudget budget(100);
-  budget.deposit(1000);
-  EXPECT_EQ(budget.available(), 100u);
+  TimeBudget budget;
+  budget.deposit(TimeBudget::kCap + 1000);
+  EXPECT_EQ(budget.available(), TimeBudget::kCap);
 }
 
 TEST(TimeBudgetTest, ClosedBudgetGrantsNothing) {
@@ -45,8 +71,8 @@ TEST(TimeBudgetTest, ClosedBudgetGrantsNothing) {
   budget.deposit(10);
   budget.close();
   EXPECT_TRUE(budget.closed());
-  EXPECT_EQ(budget.acquire(10), 0u);
-  budget.deposit(10);  // ignored once closed
+  EXPECT_FALSE(budget.ready());  // no slice runs on a closed budget
+  budget.deposit(10);            // ignored once closed
   EXPECT_EQ(budget.available(), 10u);
 }
 
@@ -56,16 +82,20 @@ TEST(TimeBudgetTest, DepositRunsConsumerUntilClosed) {
   // it), and a closed budget steps it no more.
   TimeBudget budget;
   std::vector<std::uint64_t> seen;
-  budget.set_consumer([&] { seen.push_back(budget.acquire(5)); });
-  budget.deposit(8);
-  budget.advance_to(1000000, 4);  // 1 us at 4 instructions/us
-  budget.set_idle(true);
-  budget.deposit(8);
+  budget.set_consumer([&] {
+    seen.push_back(budget.available());
+    budget.charge(5);
+  });
+  budget.deposit(8);              // 8 banked, 3 left after the charge
+  budget.advance_to(1000000, 4);  // 1 us at 4 cycles/us: 7 banked, 2 left
+  budget.set_idle(true);          // burns the 2
+  budget.deposit(8);              // idle: banks nothing, the charge is debt
   budget.set_idle(false);
   budget.close();
   budget.deposit(8);
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{5, 5, 0}));
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{8, 7, 0}));
   EXPECT_EQ(budget.available(), 0u);
+  EXPECT_EQ(budget.debt(), 5u);
 }
 
 // ---------------------------------------------------------------- pragma filter
@@ -295,6 +325,69 @@ TEST(GdbKernelTest, ElaborationRejectsUnknownPort) {
   ctx.register_extension(&ext);
   EXPECT_THROW(ctx.run(10_ns), util::LogicError);
   target.shutdown();
+}
+
+struct SpinResult {
+  std::uint64_t cycles;
+  std::uint64_t instructions;
+};
+
+/// What a spinning GDB-Kernel guest retires when the kernel runs `windows`
+/// back-to-back windows of `window` each, at `cycles_per_us`.
+SpinResult gdb_spin(const std::string& guest, std::uint64_t cycles_per_us, int windows,
+                    sysc::sc_time window) {
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  GdbTarget target(guest);
+  GdbKernelOptions options;
+  options.instructions_per_us = cycles_per_us;
+  GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
+  ctx.register_extension(&ext);
+  for (int i = 0; i < windows; ++i) ctx.run(window);
+  target.shutdown();
+  ctx.unregister_extension(&ext);
+  return {target.cpu().cycles(), target.cpu().instret()};
+}
+
+TEST(GdbTargetTest, AllowanceDoesNotDependOnRunSlicing) {
+  // As for DriverTarget: the guest's simulated speed is a function of
+  // simulated time only.
+  const std::string guest = "_start:\nspin:\n  j spin\n";
+  const std::uint64_t whole = gdb_spin(guest, 10000, 1, 100_us).cycles;
+  const std::uint64_t split = gdb_spin(guest, 10000, 10, 10_us).cycles;
+  EXPECT_GE(whole, 99u * 10000u);  // the guest ran at its nominal speed
+  EXPECT_EQ(split, whole);
+}
+
+TEST(GdbTargetTest, AllowanceIsMeteredInCycles) {
+  // Both loops are four instructions long. The ALU loop costs 5 cycles
+  // (three addi at 1, the taken j at 2), the load/store loop 8 (each memory
+  // op and the j at 2). 100 us at 2048 cycles/us deposits 204,800 cycles,
+  // a whole number of slices of either loop, so the deposits buy exactly
+  // 204,800 cycles of guest time; one more slice ran, and is still owed.
+  constexpr const char* kAluLoop = R"(
+_start:
+spin:
+    addi t0, t0, 1
+    addi t0, t0, 1
+    addi t0, t0, 1
+    j spin
+)";
+  constexpr const char* kLoadStoreLoop = R"(
+_start:
+spin:
+    lw t0, 256(zero)
+    sw t0, 256(zero)
+    lw t0, 256(zero)
+    j spin
+)";
+  const SpinResult alu = gdb_spin(kAluLoop, 2048, 1, 100_us);
+  const SpinResult ls = gdb_spin(kLoadStoreLoop, 2048, 1, 100_us);
+  EXPECT_EQ(alu.cycles, 204800u + 5u * TimeBudget::kSlice / 4u);
+  EXPECT_EQ(ls.cycles, 204800u + 8u * TimeBudget::kSlice / 4u);
+  // Equal cycles buy 8/5 as many ALU instructions as load/store ones.
+  EXPECT_EQ(alu.instructions, 204800u / 5u * 4u + TimeBudget::kSlice);
+  EXPECT_EQ(ls.instructions, 204800u / 8u * 4u + TimeBudget::kSlice);
 }
 
 // ---------------------------------------------------------------- GDB-Wrapper

@@ -551,15 +551,6 @@ TEST(CpuTest, QuantumExpires) {
   EXPECT_EQ(cpu.instret(), 1000u);
 }
 
-TEST(CpuTest, RequestStop) {
-  Cpu cpu(1 << 16);
-  Program prog = assemble("loop: j loop\n");
-  prog.load_into(cpu.mem());
-  cpu.request_stop();
-  EXPECT_EQ(cpu.run(1000), Halt::Stopped);
-  EXPECT_EQ(cpu.run(10), Halt::Quantum);  // stop request is one-shot
-}
-
 TEST(CpuTest, EcallWithoutHandlerHalts) {
   Cpu cpu = run_program("li a7, 1\necall\nebreak\n", 10);
   EXPECT_EQ(cpu.last_halt(), Halt::Ecall);

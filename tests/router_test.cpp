@@ -484,11 +484,11 @@ TEST(MultiCpuTest, SecondCpuRaisesSaturationThroughput) {
   EXPECT_GT(two.forwarded_pct, one.forwarded_pct + 5.0);  // a second CPU visibly raises throughput
   // Exact goldens.
   EXPECT_EQ(one.produced, 100u);
-  EXPECT_EQ(one.received, 52u);
-  EXPECT_EQ(one.kernel_delta_cycles, 24429u);
+  EXPECT_EQ(one.received, 40u);
+  EXPECT_EQ(one.kernel_delta_cycles, 26334u);
   EXPECT_EQ(two.produced, 100u);
-  EXPECT_EQ(two.received, 96u);
-  EXPECT_EQ(two.kernel_delta_cycles, 22396u);
+  EXPECT_EQ(two.received, 72u);
+  EXPECT_EQ(two.kernel_delta_cycles, 22300u);
 }
 
 TEST(TestbenchTest, WrapperSchemeCountsLockstepSteps) {

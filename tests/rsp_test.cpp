@@ -95,10 +95,14 @@ TEST(PacketTest, MultiplePacketsInOneFeed) {
 // ---------------------------------------------------------------- stub+client loopback
 
 /// Test fixture hosting a GdbStub as the client's in-process peer, as the
-/// co-simulation layer does: the client's sends and waits step the stub.
+/// co-simulation layer does: the client's sends and waits step the stub,
+/// and each step runs one slice while the guest runs.
 class RspLoopback : public ::testing::Test {
  protected:
-  void start(const std::string& program, StubOptions options = {}) {
+  /// Instructions per slice a step runs while the guest runs.
+  static constexpr std::uint64_t kSlice = 4096;
+
+  void start(const std::string& program) {
     cpu_ = std::make_unique<iss::Cpu>(1 << 16);
     iss::Program prog = iss::assemble(program);
     prog.load_into(cpu_->mem());
@@ -106,8 +110,12 @@ class RspLoopback : public ::testing::Test {
     symbols_ = prog.symbols;
 
     auto pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
-    stub_ = std::make_unique<GdbStub>(*cpu_, std::move(pair.a), std::move(options));
-    pair.b.set_inline_peer([this] { return stub_->poll() || stub_->input_pending(); });
+    stub_ = std::make_unique<GdbStub>(*cpu_, std::move(pair.a));
+    pair.b.set_inline_peer([this] {
+      bool worked = stub_->poll();
+      worked = stub_->run_slice(kSlice) || worked;
+      return worked || stub_->input_pending();
+    });
     client_ = std::make_unique<GdbClient>(std::move(pair.b));
   }
 
@@ -226,6 +234,7 @@ TEST_F(RspLoopback, PollStopIsNonBlocking) {
   std::optional<StopReply> stop;
   for (int polls = 0; !stop && polls < 1000; ++polls) {
     stub_->poll();
+    stub_->run_slice(kSlice);
     stop = client_->poll_stop();
   }
   ASSERT_TRUE(stop.has_value());
@@ -276,27 +285,6 @@ TEST_F(RspLoopback, IllegalInstructionSignalsSigill) {
   auto stop = client_->wait_stop();
   ASSERT_TRUE(stop.has_value());
   EXPECT_EQ(stop->signal, 4);
-}
-
-TEST_F(RspLoopback, ThrottleCallbackMetersExecution) {
-  std::uint64_t granted = 0;
-  StubOptions options;
-  options.quantum = 64;
-  options.acquire_quantum = [&granted](std::uint64_t want) {
-    granted += want;
-    return want;
-  };
-  start(R"(
-      li t0, 1000
-  spin:
-      addi t0, t0, -1
-      bnez t0, spin
-      ebreak
-  )", std::move(options));
-  client_->cont();
-  auto stop = client_->wait_stop();
-  ASSERT_TRUE(stop.has_value());
-  EXPECT_GE(granted, 2000u);  // ~2001 instructions executed in 64-slices
 }
 
 TEST_F(RspLoopback, RunQuantumExecutesBoundedSlice) {

@@ -415,6 +415,34 @@ TEST(ThreadTest, ExceptionPropagatesToRun) {
   EXPECT_THROW(ctx.run(1_ns), std::runtime_error);
 }
 
+TEST(KernelTest, AThrowingProcessLeavesTheKernelUsable) {
+  // `kick` wakes `m` in the same evaluate phase, then `boom` throws before
+  // `m` runs. The next run() goes on with `m` and does not dispatch `kick`
+  // or `boom` again.
+  sc_simcontext ctx;
+  sc_event ev("ev");
+  int kicks = 0;
+  int booms = 0;
+  int m_runs = 0;
+  ctx.create_method("kick", [&] {
+    ++kicks;
+    ev.notify();  // immediate
+  });
+  ctx.create_method("boom", [&] {
+    ++booms;
+    throw std::runtime_error("process fault");
+  });
+  auto& m = ctx.create_method("m", [&] { ++m_runs; });
+  m.make_sensitive(ev);
+  m.dont_initialize();
+  EXPECT_THROW(ctx.run(1_ns), std::runtime_error);
+  EXPECT_EQ(m_runs, 0);
+  ctx.run(1_ns);
+  EXPECT_EQ(kicks, 1);
+  EXPECT_EQ(booms, 1);
+  EXPECT_EQ(m_runs, 1);
+}
+
 TEST(ThreadTest, BlockedThreadKilledCleanlyAtTeardown) {
   sc_simcontext ctx;
   sc_event ev("ev");
