@@ -25,7 +25,9 @@ struct Sample {
   std::uint64_t received;
 };
 
-Sample run_wrapper(cosim::LockstepMode mode, sysc::sc_time clock_period) {
+/// The router under the GDB-Wrapper in Quantum mode: a finer clock means
+/// more lock-step syncs.
+Sample run_wrapper(sysc::sc_time clock_period) {
   // Fixed workload: 20 packets through the router.
   router::TestbenchConfig config;
   config.scheme = router::Scheme::GdbWrapper;
@@ -35,11 +37,6 @@ Sample run_wrapper(cosim::LockstepMode mode, sysc::sc_time clock_period) {
   config.instructions_per_us = 400000;
   config.clock_period = clock_period;
   router::Testbench bench(config);
-
-  // Swap the wrapper's lock-step mode by rebuilding is intrusive; instead we
-  // emulate single-step frequency with a finer clock for the quantum mode
-  // and expose the explicit mode through a dedicated micro-run below.
-  (void)mode;
   bench.run_until_drained(sysc::sc_time(50, sysc::SC_MS));
   router::TestbenchReport r = bench.report();
   Sample s{r.wall_seconds * 1000.0, r.lockstep_steps, r.received};
@@ -133,8 +130,7 @@ int main() {
   }
   std::printf("Clock period sweep (sync once per cycle; finer clock = more syncs):\n");
   for (std::uint64_t period_ns : {10ULL, 40ULL, 160ULL}) {
-    Sample s = run_wrapper(cosim::LockstepMode::Quantum,
-                           sysc::sc_time::from_ps(period_ns * 1000));
+    Sample s = run_wrapper(sysc::sc_time::from_ps(period_ns * 1000));
     recorder.record("sweep/clock_" + std::to_string(period_ns) + "ns", s.wall_ms / 1000.0);
     std::printf("  clock %4llu ns: %8.1f ms wall, %8llu round trips, %llu/20 packets\n",
                 static_cast<unsigned long long>(period_ns), s.wall_ms,

@@ -43,6 +43,23 @@ void DriverKernelExtension::quiesce(const std::string& reason) {
   if (budget_ != nullptr) budget_->close();
 }
 
+void DriverKernelExtension::on_elaboration(sysc::sc_simcontext& ctx) {
+  // Resolve the owned ports once, in registration order (a push's order).
+  const std::vector<std::string>& names = options_.owned_ports;
+  for (sysc::iss_port_base* port : ctx.iss_ports()) {
+    if (port->is_input()) continue;
+    if (names.empty() || std::ranges::find(names, port->name()) != names.end()) {
+      owned_.push_back(port);
+    }
+  }
+  for (const std::string& name : names) {
+    const sysc::iss_port_base* port = ctx.find_iss_port(name);
+    if (port == nullptr || port->is_input()) {
+      throw util::LogicError("DriverKernel: owned port " + name + " is no iss_out port");
+    }
+  }
+}
+
 void DriverKernelExtension::on_cycle_begin(sysc::sc_simcontext& ctx) {
   if (quiesced_) return;
   // Paper Fig. 5: "message to exchange?" at the start of the cycle.
@@ -121,19 +138,14 @@ void DriverKernelExtension::handle_message(sysc::sc_simcontext& ctx,
   }
 }
 
-void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
+void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext&) {
   if (quiesced_) return;
   // Push freshly written iss_out values to the driver (asynchronous reads).
   if (options_.push_outputs) {
-    auto owned = [this](const std::string& name) {
-      if (options_.owned_ports.empty()) return true;
-      return std::find(options_.owned_ports.begin(), options_.owned_ports.end(), name) !=
-             options_.owned_ports.end();
-    };
     ipc::DriverMessage push;
     push.type = ipc::MsgType::ReadReply;
-    for (sysc::iss_port_base* port : ctx.iss_ports()) {
-      if (port->is_input() || !port->has_fresh_value() || !owned(port->name())) continue;
+    for (sysc::iss_port_base* port : owned_) {
+      if (!port->has_fresh_value()) continue;
       push.items.push_back({port->name(), port->peek_bytes()});
       port->consume_fresh();
     }
@@ -168,21 +180,6 @@ void DriverKernelExtension::on_cycle_end(sysc::sc_simcontext& ctx) {
 
 void DriverKernelExtension::on_time_advance(sysc::sc_simcontext&, const sysc::sc_time& now) {
   if (budget_ != nullptr) budget_->advance_to(now.ps(), options_.instructions_per_us);
-}
-
-bool DriverKernelExtension::on_starvation(sysc::sc_simcontext& ctx) {
-  // Give the ISS a microsecond of slack (the deposit runs it at once) and
-  // take whatever driver traffic that produced.
-  if (budget_ != nullptr) budget_->deposit(options_.instructions_per_us);
-  if (quiesced_) return false;
-  try {
-    if (!data_.readable(0)) return false;
-  } catch (const util::RuntimeError& e) {
-    quiesce(std::string("data port poll failed: ") + e.what());
-    return false;
-  }
-  on_cycle_begin(ctx);
-  return true;
 }
 
 void DriverKernelExtension::on_run_end(sysc::sc_simcontext&) {

@@ -40,7 +40,8 @@ struct DriverKernelOptions {
   /// iss_out ports this extension's driver owns: only these are pushed on
   /// its data socket. Empty = all output ports (single-CPU setups). In
   /// multi-processor designs each CPU's extension must list its own ports,
-  /// or the first extension would consume every CPU's data.
+  /// or the first extension would consume every CPU's data. Resolved once,
+  /// at elaboration; a name that matches no iss_out port is a LogicError.
   std::vector<std::string> owned_ports;
   /// IRQ number announced on the interrupt socket whenever a cycle pushed
   /// fresh iss_out data to this driver — paper Fig. 5's "interrupt
@@ -65,10 +66,10 @@ class DriverKernelExtension : public sysc::kernel_extension {
   DriverKernelExtension(ipc::Channel data, ipc::Channel interrupts, TimeBudget* budget,
                         DriverKernelOptions options = {});
 
+  void on_elaboration(sysc::sc_simcontext& ctx) override;
   void on_cycle_begin(sysc::sc_simcontext& ctx) override;
   void on_cycle_end(sysc::sc_simcontext& ctx) override;
   void on_time_advance(sysc::sc_simcontext& ctx, const sysc::sc_time& now) override;
-  bool on_starvation(sysc::sc_simcontext& ctx) override;
   void on_run_end(sysc::sc_simcontext& ctx) override;
 
   /// Queues a device interrupt; it is sent on the interrupt socket at the
@@ -99,6 +100,8 @@ class DriverKernelExtension : public sysc::kernel_extension {
   ipc::Channel interrupts_;
   TimeBudget* budget_;
   DriverKernelOptions options_;
+  /// The owned iss_out ports, in registration order (on_elaboration).
+  std::vector<sysc::iss_port_base*> owned_;
   std::deque<std::uint32_t> pending_interrupts_;
   /// Messages whose target port is still draining a previous delivery.
   std::deque<ipc::DriverMessage> backlog_;

@@ -14,10 +14,10 @@
 //
 // Unlike the GDB-Wrapper baseline there is no per-cycle blocking round
 // trip: while no data crosses the boundary the only cost is one
-// non-blocking poll per cycle.
+// non-blocking poll per cycle. A stop whose port is not ready waits, with
+// the ISS halted, and each later cycle retries it with one port test.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -54,7 +54,6 @@ class GdbKernelExtension : public sysc::kernel_extension {
   void on_elaboration(sysc::sc_simcontext& ctx) override;
   void on_cycle_begin(sysc::sc_simcontext& ctx) override;
   void on_time_advance(sysc::sc_simcontext& ctx, const sysc::sc_time& now) override;
-  bool on_starvation(sysc::sc_simcontext& ctx) override;
   void on_run_end(sysc::sc_simcontext& ctx) override;
 
   /// True once the guest program hit its final ebreak (or faulted).
@@ -71,19 +70,21 @@ class GdbKernelExtension : public sysc::kernel_extension {
   /// Ends the run on a transport failure: latches a CosimError with the
   /// client channel's wire capture and stops the simulation.
   void fail(sysc::sc_simcontext& ctx, const std::string& what);
-  /// Returns false when the stop must stay deferred (port still draining).
-  bool service_stop(sysc::sc_simcontext& ctx, const rsp::StopReply& stop);
+  /// The binding of the stop, or null when it is off the binding lines:
+  /// the guest finished (ebreak) or faulted, and the session ends.
+  const BreakpointBinding* take_stop(const rsp::StopReply& stop);
+  /// One RDI round trip: transfers a ready binding's value, then resumes.
+  void service(const BreakpointBinding& binding);
 
   rsp::GdbClient& client_;
   TimeBudget* budget_;
   std::vector<BreakpointBinding> bindings_;
-  std::map<std::uint32_t, const BreakpointBinding*> by_addr_;
   GdbKernelOptions options_;
   bool finished_ = false;
   std::optional<CosimError> error_;
-  /// A stop whose iss_in delivery must wait for the port to drain. The ISS
-  /// stays halted meanwhile: natural backpressure.
-  std::optional<rsp::StopReply> deferred_stop_;
+  /// The binding of a stop whose port was not ready. The ISS stays halted
+  /// meanwhile: natural backpressure.
+  const BreakpointBinding* waiting_ = nullptr;
   GdbKernelStats stats_;
   /// stats_ values already pushed into the metrics registry (on_run_end
   /// publishes the delta, so the per-cycle poll path stays counter-free).

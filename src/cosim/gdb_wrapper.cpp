@@ -12,7 +12,6 @@ GdbWrapperModule::GdbWrapperModule(std::string name, rsp::GdbClient& client,
     : sc_module(std::move(name)), client_(client), bindings_(std::move(bindings)),
       options_(options) {
   util::require(options_.instructions_per_cycle > 0, "GdbWrapper: zero lock-step ratio");
-  for (const BreakpointBinding& b : bindings_) by_addr_[b.breakpoint_addr] = &b;
   declare_method("cycle", &GdbWrapperModule::cycle);
   sensitive << clk.pos();
   dont_initialize();
@@ -20,6 +19,8 @@ GdbWrapperModule::GdbWrapperModule(std::string name, rsp::GdbClient& client,
 
 void GdbWrapperModule::on_elaboration() {
   sc_module::on_elaboration();
+  // Configuration mistakes propagate as LogicError, as under GDB-Kernel.
+  bind_ports(bindings_, context(), "GdbWrapper");
   // Quantum mode relies on target-side breakpoints to stop at binding lines.
   // A transport fault this early ends the run with a structured error, the
   // same as a mid-run failure.
@@ -54,13 +55,13 @@ void GdbWrapperModule::cycle() {
     // *every* cycle, which is precisely the overhead the proposed schemes
     // remove.
     if (pending_binding_ != nullptr) {
-      if (!service_breakpoint(*pending_binding_)) {
+      if (!ready(*pending_binding_)) {
         (void)client_.read_pc();  // blocking sync round trip, result unused
         ++stats_.steps;
         obs::counter("cosim.gdbw.steps").add(1);
         return;
       }
-      pending_binding_ = nullptr;
+      if (service(*pending_binding_)) return;
     }
     if (options_.mode == LockstepMode::Quantum) {
       cycle_quantum();
@@ -97,14 +98,13 @@ void GdbWrapperModule::cycle_single_step() {
       return;
     }
     prev_pc = pc;
-    auto it = by_addr_.find(pc);
-    if (it != by_addr_.end() && handle_stop(pc, stop.signal)) return;
+    if (binding_at(bindings_, pc) != nullptr && handle_stop(pc, stop.signal)) return;
   }
 }
 
 bool GdbWrapperModule::handle_stop(std::uint32_t pc, int signal) {
-  auto it = by_addr_.find(pc);
-  if (it == by_addr_.end() || signal != 5) {
+  const BreakpointBinding* binding = binding_at(bindings_, pc);
+  if (binding == nullptr || signal != 5) {
     // Stopped somewhere that is not a binding line: the guest finished
     // (ebreak) or faulted.
     finished_ = true;
@@ -112,38 +112,24 @@ bool GdbWrapperModule::handle_stop(std::uint32_t pc, int signal) {
                              << std::dec << signal;
     return true;
   }
-  if (!service_breakpoint(*it->second)) {
-    pending_binding_ = it->second;
-    return true;
-  }
-  if (it->second->direction == BindDirection::IssToSc) {
-    // The delivered value wakes its iss_process in the next delta; end the
-    // cycle so a second delivery cannot overwrite it before the process
-    // runs.
-    return true;
-  }
-  return false;
+  return service(*binding);
 }
 
-bool GdbWrapperModule::service_breakpoint(const BreakpointBinding& binding) {
-  sysc::iss_port_base* port = context().find_iss_port(binding.port);
-  util::require(port != nullptr, "GdbWrapper: no iss port named " + binding.port);
-  if (binding.direction == BindDirection::IssToSc) {
-    auto bytes = client_.read_memory(binding.variable_addr, binding.width);
-    port->deliver_bytes(bytes);
-    ++stats_.values_to_sc;
-  } else {
-    if (!port->has_fresh_value()) return false;  // wait for the hardware
-    auto bytes = port->peek_bytes();
-    client_.write_memory(binding.variable_addr, bytes);
-    port->consume_fresh();
-    ++stats_.values_from_sc;
+bool GdbWrapperModule::service(const BreakpointBinding& binding) {
+  if (!ready(binding)) {
+    pending_binding_ = &binding;
+    return true;
   }
+  pending_binding_ = nullptr;
+  transfer(binding, client_);
+  ++(binding.direction == BindDirection::IssToSc ? stats_.values_to_sc : stats_.values_from_sc);
   ++stats_.breakpoint_events;
   static obs::Counter& c_breakpoints = obs::counter("cosim.gdbw.breakpoints");
   c_breakpoints.add(1);
   obs::instant("cosim.breakpoint", "cosim", "pc", binding.breakpoint_addr);
-  return true;
+  // A delivered value wakes its iss_process in the next delta; end the
+  // cycle so the next delivery comes at a later clock edge, after it ran.
+  return binding.direction == BindDirection::IssToSc;
 }
 
 }  // namespace nisc::cosim

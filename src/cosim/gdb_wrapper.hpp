@@ -15,11 +15,12 @@
 //   * SingleStep (ablation): one blocking `s` round trip per instruction.
 //
 // Variable<->port bindings are serviced whenever the ISS stops on a
-// breakpoint line, with the same placement semantics as the GDB-Kernel
-// scheme.
+// breakpoint line, by the rule the GDB-Kernel scheme uses (cosim/pragma.hpp:
+// ports bound at elaboration, one readiness test, one transfer). A binding
+// whose port is not ready holds the ISS at its line; each later cycle still
+// pays its blocking round trip.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -72,14 +73,14 @@ class GdbWrapperModule : public sysc::sc_module {
   void fail(const std::string& what);
   void cycle_quantum();
   void cycle_single_step();
-  /// Returns false when the binding must wait (no fresh hardware value).
-  bool service_breakpoint(const BreakpointBinding& binding);
   /// Handles one stop; returns true when the wrapper should end this cycle.
   bool handle_stop(std::uint32_t pc, int signal);
+  /// Transfers the binding's value if its port is ready, else holds the ISS
+  /// at the binding; returns true when the wrapper should end this cycle.
+  bool service(const BreakpointBinding& binding);
 
   rsp::GdbClient& client_;
   std::vector<BreakpointBinding> bindings_;
-  std::map<std::uint32_t, const BreakpointBinding*> by_addr_;
   GdbWrapperOptions options_;
   const BreakpointBinding* pending_binding_ = nullptr;
   bool finished_ = false;

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <sstream>
 
+#include "rsp/client.hpp"
+#include "sysc/iss_port.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -159,6 +161,40 @@ std::vector<BreakpointBinding> resolve_bindings(const std::vector<PragmaBinding>
     resolved.push_back(std::move(r));
   }
   return resolved;
+}
+
+void bind_ports(std::vector<BreakpointBinding>& bindings, const sysc::sc_simcontext& ctx,
+                const char* scheme) {
+  for (BreakpointBinding& b : bindings) {
+    b.iss_port = ctx.find_iss_port(b.port);
+    const bool input = b.direction == BindDirection::IssToSc;
+    if (b.iss_port == nullptr || b.iss_port->is_input() != input) {
+      throw util::LogicError(std::string(scheme) + ": binding " + b.variable + " needs an " +
+                             (input ? "iss_in" : "iss_out") + " port named " + b.port);
+    }
+  }
+}
+
+const BreakpointBinding* binding_at(const std::vector<BreakpointBinding>& bindings,
+                                    std::uint32_t pc) noexcept {
+  for (const BreakpointBinding& b : bindings) {
+    if (b.breakpoint_addr == pc) return &b;
+  }
+  return nullptr;
+}
+
+bool ready(const BreakpointBinding& binding) noexcept {
+  return binding.direction == BindDirection::IssToSc ? binding.iss_port->accepts_delivery()
+                                                     : binding.iss_port->has_fresh_value();
+}
+
+void transfer(const BreakpointBinding& binding, rsp::GdbClient& client) {
+  if (binding.direction == BindDirection::IssToSc) {
+    binding.iss_port->deliver_bytes(client.read_memory(binding.variable_addr, binding.width));
+  } else {
+    client.write_memory(binding.variable_addr, binding.iss_port->peek_bytes());
+    binding.iss_port->consume_fresh();
+  }
 }
 
 }  // namespace nisc::cosim

@@ -22,7 +22,10 @@
 //
 // filter_pragmas() rewrites the source with synthetic labels at the
 // breakpoint lines and returns the binding list; resolve_bindings() turns
-// labels and variable names into addresses after assembly.
+// labels and variable names into addresses after assembly; bind_ports()
+// finds each binding's iss port once, at elaboration. Both GDB schemes then
+// service a stop by one rule: binding_at() finds the binding of the stopped
+// pc, ready() tests its port, transfer() moves the value over RSP.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,15 @@
 #include <vector>
 
 #include "iss/program.hpp"
+
+namespace nisc::sysc {
+class iss_port_base;
+class sc_simcontext;
+}  // namespace nisc::sysc
+
+namespace nisc::rsp {
+class GdbClient;
+}  // namespace nisc::rsp
 
 namespace nisc::cosim {
 
@@ -70,11 +82,33 @@ struct BreakpointBinding {
   std::uint32_t breakpoint_addr = 0;
   std::uint32_t variable_addr = 0;
   std::uint32_t width = 4;  ///< bytes transferred per hit
+  /// The port named `port`, found by bind_ports() at elaboration.
+  sysc::iss_port_base* iss_port = nullptr;
 };
 
 /// Resolves filtered bindings against an assembled program's symbol table.
 /// Throws RuntimeError when a label or variable is undefined.
 std::vector<BreakpointBinding> resolve_bindings(const std::vector<PragmaBinding>& bindings,
                                                 const iss::Program& program);
+
+/// Finds each binding's iss port in `ctx`: an iss_in for IssToSc, an
+/// iss_out for ScToIss. Throws LogicError, prefixed with `scheme`, when
+/// there is no such port.
+void bind_ports(std::vector<BreakpointBinding>& bindings, const sysc::sc_simcontext& ctx,
+                const char* scheme);
+
+/// The binding whose breakpoint is at `pc`, or null.
+const BreakpointBinding* binding_at(const std::vector<BreakpointBinding>& bindings,
+                                    std::uint32_t pc) noexcept;
+
+/// True when the bound port can take part in a transfer now: an iss_in that
+/// accepts a delivery, or an iss_out holding a value the guest has not read
+/// (flow control: until then the guest waits, halted at the breakpoint).
+bool ready(const BreakpointBinding& binding) noexcept;
+
+/// Moves one value over RSP: for IssToSc the guest variable, which the
+/// guest just wrote, into the iss_in port; for ScToIss the iss_out port's
+/// value into the guest variable, which the guest is about to read.
+void transfer(const BreakpointBinding& binding, rsp::GdbClient& client);
 
 }  // namespace nisc::cosim

@@ -161,7 +161,7 @@ bool DriverTarget::wake_pending() {
 
 bool DriverTarget::step() {
   bool ran = false;
-  while (!finished_ && budget_.ready()) {
+  while (budget_.ready()) {
     const bool was_idle = last_status_ == rtos::RunStatus::Idle;
     if (was_idle) {
       // Every guest thread waits on a device read: the CPU idles, burning
@@ -178,13 +178,14 @@ bool DriverTarget::step() {
     const std::uint64_t cycles = cpu_->cycles() - cycles_before;
     budget_.charge(cycles);
     switch (last_status_) {
-      case rtos::RunStatus::AllDone:
-        finished_ = true;
-        return ran;
       case rtos::RunStatus::Fault:
         NISC_ERROR("driver-target") << "guest fault: "
                                     << iss::halt_name(kernel_->last_fault());
+        [[fallthrough]];
+      case rtos::RunStatus::AllDone:
+        // The guest never runs again: its session ends.
         finished_ = true;
+        budget_.close();
         return ran;
       case rtos::RunStatus::Idle:
         if (was_idle && cycles == 0) {

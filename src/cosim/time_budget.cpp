@@ -10,7 +10,7 @@ void TimeBudget::deposit(std::uint64_t cycles) {
   debt_ -= paid;
   // An idle consumer's allowance burns off immediately; it still runs, so a
   // target woken by pending input can resume.
-  if (!idle_) tokens_ = std::min(tokens_ + cycles - paid, kCap);
+  if (!idle_) tokens_ += cycles - paid;
   if (consumer_) consumer_();
 }
 

@@ -1,20 +1,21 @@
 // TimeBudget: correlates ISS execution with SystemC simulated time.
 //
 // The SystemC kernel deposits an allowance of CPU cycles as simulated time
-// advances (modeling the CPU's nominal frequency); the in-process target
-// running the ISS spends it by one rule, pay-after, under both
-// budget-metered schemes. A target runs a slice of kSlice instructions as
-// soon as the previous slice is paid for, then charges the cycles the slice
-// cost: CycleModel cycles, plus the RTOS costs under Driver-Kernel. What the
-// banked allowance cannot cover is debt, and later deposits pay it before
-// they bank anything. Both sides live on the kernel thread: each deposit runs
-// the target (the budget's consumer) at once, so it spends its allowance
-// before simulated time moves on, and the same deposits always buy the same
-// guest progress.
+// advances (modeling the CPU's nominal frequency), and at no other point; the
+// in-process target running the ISS spends it by one rule, pay-after, under
+// both budget-metered schemes. A target runs a slice of kSlice instructions
+// as soon as the previous slice is paid for, then charges the cycles the
+// slice cost: CycleModel cycles, plus the RTOS costs under Driver-Kernel.
+// What the banked allowance cannot cover is debt, and later deposits pay it
+// before they bank anything. Both sides live on the kernel thread: each
+// deposit runs the target (the budget's consumer) at once, so it spends its
+// allowance before simulated time moves on, and the same deposits always buy
+// the same guest progress. The bank needs no cap: a running target spends it
+// down at every deposit, and an idle one burns it.
 //
-// Whoever ends a session (the target when its stub exits, a kernel extension
-// on a transport failure) closes the budget: a closed budget is never ready
-// and steps its consumer no more.
+// Whoever ends a session (the target when its stub exits or its guest exits
+// or faults, a kernel extension on a transport failure) closes the budget: a
+// closed budget is never ready and steps its consumer no more.
 #pragma once
 
 #include <cstdint>
@@ -27,9 +28,6 @@ class TimeBudget {
   /// Guest instructions a target runs per slice before it charges the
   /// slice's cycle cost.
   static constexpr std::uint64_t kSlice = 2048;
-  /// Bounds accumulation so a stalled ISS cannot bank unbounded credit and
-  /// later sprint arbitrarily far ahead of hardware time.
-  static constexpr std::uint64_t kCap = 1 << 20;
 
   /// The target that spends this allowance; run after every deposit.
   void set_consumer(std::function<void()> consumer) { consumer_ = std::move(consumer); }

@@ -499,13 +499,9 @@ sc_time sc_simcontext::run_until(sc_time end) {
     if (has_pending_activity()) continue;
     if (now_ >= end) break;
     if (advance_time(end)) continue;
-    if (now_ >= end) break;  // clamped to the window end, nothing to fire
-    // Starvation before the window end: give co-simulation extensions a
-    // chance to wait for external (ISS) activity.
-    obs::instant("kernel.starvation", "kernel");
-    bool resumed = false;
-    for (kernel_extension* ext : extensions_) resumed = ext->on_starvation(*this) || resumed;
-    if (!resumed) break;
+    // Starvation before the window end: nothing is left to run.
+    if (now_ < end) obs::instant("kernel.starvation", "kernel");
+    break;
   }
   for (kernel_extension* ext : extensions_) ext->on_run_end(*this);
   // Scheduler counters are pushed once per run() — per-delta paths stay a

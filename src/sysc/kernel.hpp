@@ -9,8 +9,10 @@
 //    (paper Figs. 3 and 5);
 //  * kernel_extension::on_cycle_end    -- the "interrupt generated?" check
 //    after event handling (paper Fig. 5);
-//  * an iss-port registry so extensions can route ISS traffic to iss_in /
-//    iss_out ports by name (paper §3.1, §4.2).
+//  * kernel_extension::on_time_advance -- where the schemes pay the ISS for
+//    elapsed simulated time; a design that starves ends its run;
+//  * an iss-port registry where extensions find iss_in / iss_out ports by
+//    name (paper §3.1, §4.2).
 //
 // Unlike OSCI SystemC there is no global simulation context: each
 // sc_simcontext is an independent kernel instance (a thread-local "current"
@@ -250,12 +252,6 @@ class kernel_extension {
   virtual void on_cycle_end(sc_simcontext&) {}
   /// Whenever simulated time advances.
   virtual void on_time_advance(sc_simcontext&, const sc_time& now) { (void)now; }
-  /// Called when the kernel would otherwise starve (nothing runnable, no
-  /// pending notifications) before the end of the run window. An extension
-  /// expecting external activity (e.g. the ISS is still executing) may step
-  /// it, inject the events it produced, and return true to keep the run
-  /// alive.
-  virtual bool on_starvation(sc_simcontext&) { return false; }
   /// When run() returns.
   virtual void on_run_end(sc_simcontext&) {}
 };

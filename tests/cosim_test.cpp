@@ -9,6 +9,7 @@
 #include "cosim/session.hpp"
 #include "cosim/time_budget.hpp"
 #include "iss/assembler.hpp"
+#include "obs/trace.hpp"
 #include "sysc/sysc.hpp"
 #include "util/error.hpp"
 
@@ -58,12 +59,6 @@ TEST(TimeBudgetTest, AdvanceToCarriesFractionalInstructions) {
   EXPECT_EQ(budget.available(), 1u);
   budget.advance_to(1000000, 3);  // 1.5 + 0.5
   EXPECT_EQ(budget.available(), 3u);
-}
-
-TEST(TimeBudgetTest, CapBoundsAccumulation) {
-  TimeBudget budget;
-  budget.deposit(TimeBudget::kCap + 1000);
-  EXPECT_EQ(budget.available(), TimeBudget::kCap);
 }
 
 TEST(TimeBudgetTest, ClosedBudgetGrantsNothing) {
@@ -327,6 +322,45 @@ TEST(GdbKernelTest, ElaborationRejectsUnknownPort) {
   target.shutdown();
 }
 
+TEST(GdbKernelTest, AWaitingStopIsOneRoundTripSpan) {
+  // The guest stops at its iss_out breakpoint at once, but the hardware
+  // writes the value only at 50 ns: the stop waits for several cycles, and
+  // only the two round trips that happen are timed.
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  sysc::iss_out<std::uint32_t> to_cpu("hw.to_cpu");
+  sysc::iss_in<std::uint32_t> from_cpu("hw.from_cpu");
+  ctx.create_thread("late_writer", [&] {
+    sysc::wait(50_ns);
+    to_cpu.write(21);
+  });
+
+  GdbTarget target(kDoublerGuest);
+  GdbKernelOptions options;
+  options.instructions_per_us = 1000000;
+  GdbKernelExtension ext(target.client(), &target.budget(), target.bindings(), options);
+  ctx.register_extension(&ext);
+
+  obs::clear_trace();
+  obs::enable_tracing();
+  while (!ext.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(100_ns);
+  obs::disable_tracing();
+  std::size_t spans = 0;
+  for (const auto& thread : obs::take_trace_snapshot().threads) {
+    for (const auto& event : thread.events) {
+      if (event.phase == 'B' && event.name == "cosim.rdi_roundtrip") ++spans;
+    }
+  }
+  obs::clear_trace();
+
+  EXPECT_TRUE(ext.target_finished());
+  EXPECT_EQ(from_cpu.read(), 42u);
+  EXPECT_EQ(ext.stats().breakpoint_events, 2u);
+  EXPECT_GT(ext.stats().polls, 10u);  // the iss_out stop waited
+  EXPECT_EQ(spans, 2u);
+  target.shutdown();
+}
+
 struct SpinResult {
   std::uint64_t cycles;
   std::uint64_t instructions;
@@ -419,6 +453,89 @@ TEST(GdbWrapperTest, SingleShotRoundTrip) {
   target.shutdown();
 }
 
+struct EchoRun {
+  std::uint64_t round_trips;
+  std::uint64_t echoes;
+};
+
+/// bench_sync's lock-step micro-run: a guest echoes 200 values through the
+/// wrapper at 8 instructions per cycle.
+EchoRun wrapper_echo(LockstepMode mode) {
+  constexpr const char* kEchoGuest = R"(
+_start:
+    li s0, 200
+    la t1, in_var
+    la t2, out_var
+loop:
+    #pragma iss_out("hw.to_cpu", in_var)
+    lw t0, 0(t1)
+    addi t0, t0, 1
+    #pragma iss_in("hw.from_cpu", out_var)
+    sw t0, 0(t2)
+    nop
+    addi s0, s0, -1
+    bnez s0, loop
+    ebreak
+in_var: .word 0
+out_var: .word 0
+)";
+  sysc::sc_simcontext ctx;
+  sysc::sc_clock clk("clk", 10_ns);
+  sysc::iss_out<std::uint32_t> to_cpu("hw.to_cpu");
+  sysc::iss_in<std::uint32_t> from_cpu("hw.from_cpu");
+  std::uint64_t echoes = 0;
+  auto& proc = ctx.create_method(
+      "echo",
+      [&] {
+        ++echoes;
+        to_cpu.write(static_cast<std::uint32_t>(echoes));
+      },
+      sysc::process_kind::IssMethod);
+  proc.make_sensitive(from_cpu.written_event());
+  proc.dont_initialize();
+  to_cpu.write(0);
+
+  GdbTarget target(kEchoGuest);
+  GdbWrapperOptions options;
+  options.instructions_per_cycle = 8;
+  options.mode = mode;
+  auto& wrapper = ctx.create<GdbWrapperModule>("wrapper", target.client(), target.bindings(),
+                                               options);
+  wrapper.clk.bind(clk.signal());
+  while (!wrapper.target_finished() && ctx.time_stamp() < 1_ms) ctx.run(10_us);
+  EXPECT_TRUE(wrapper.target_finished());
+  target.shutdown();
+  return {wrapper.stats().steps, echoes};
+}
+
+TEST(GdbWrapperTest, LockstepModesPayExactRoundTrips) {
+  // One blocking round trip per clock cycle in Quantum mode, one per
+  // instruction in SingleStep mode (ablation A4).
+  const EchoRun quantum = wrapper_echo(LockstepMode::Quantum);
+  EXPECT_EQ(quantum.round_trips, 401u);
+  EXPECT_EQ(quantum.echoes, 200u);
+  const EchoRun single = wrapper_echo(LockstepMode::SingleStep);
+  EXPECT_EQ(single.round_trips, 1206u);
+  EXPECT_EQ(single.echoes, 200u);
+}
+
+TEST(GdbWrapperTest, ElaborationRejectsUnknownOrWrongDirectionPort) {
+  for (const bool swapped : {false, true}) {
+    sysc::sc_simcontext ctx;
+    sysc::sc_clock clk("clk", 10_ns);
+    if (swapped) {
+      // Both ports exist, each with the direction the other binding needs.
+      ctx.create<sysc::iss_in<std::uint32_t>>("hw.to_cpu");
+      ctx.create<sysc::iss_out<std::uint32_t>>("hw.from_cpu");
+    }
+    GdbTarget target(kDoublerGuest);
+    auto& wrapper = ctx.create<GdbWrapperModule>("wrapper", target.client(), target.bindings());
+    wrapper.clk.bind(clk.signal());
+    EXPECT_THROW(ctx.run(10_ns), util::LogicError) << "swapped=" << swapped;
+    target.shutdown();
+  }
+}
+
 // ---------------------------------------------------------------- Driver-Kernel
 
 /// Guest: blocking dev_read of one word, add one, dev_write it back, exit.
@@ -490,6 +607,20 @@ TEST_F(DriverFixture, ReadIncrementWriteRoundTrip) {
   EXPECT_EQ(from_cpu->read(), 42u);
   EXPECT_GE(ext->stats().messages_in, 1u);   // the guest's WRITE
   EXPECT_GE(ext->stats().messages_out, 1u);  // the pushed input value
+}
+
+TEST_F(DriverFixture, ElaborationRejectsAnUnknownOwnedPort) {
+  DriverKernelOptions options;
+  options.owned_ports = {"hw.ghost"};
+  boot(kIncrementGuest, options);
+  EXPECT_THROW(ctx->run(10_ns), util::LogicError);
+}
+
+TEST_F(DriverFixture, ElaborationRejectsAnOwnedPortThatIsAnInput) {
+  DriverKernelOptions options;
+  options.owned_ports = {"hw.to_cpu", "hw.from_cpu"};  // hw.from_cpu is an iss_in
+  boot(kIncrementGuest, options);
+  EXPECT_THROW(ctx->run(10_ns), util::LogicError);
 }
 
 TEST_F(DriverFixture, InterruptReachesGuestIsr) {

@@ -1005,33 +1005,5 @@ TEST(ExtensionTest, ExtensionCanDeliverToIssPorts) {
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{99}));
 }
 
-struct StarvationExtension : kernel_extension {
-  bool on_starvation(sc_simcontext&) override {
-    ++calls;
-    if (calls < 3 && event != nullptr) {
-      event->notify_delta();
-      return true;
-    }
-    return false;
-  }
-  sc_event* event = nullptr;
-  int calls = 0;
-};
-
-TEST(ExtensionTest, StarvationHookKeepsRunAlive) {
-  sc_simcontext ctx;
-  sc_event ev("ev");
-  int runs = 0;
-  auto& p = ctx.create_method("p", [&] { ++runs; });
-  p.make_sensitive(ev);
-  p.dont_initialize();
-  StarvationExtension ext;
-  ext.event = &ev;
-  ctx.register_extension(&ext);
-  ctx.run(100_ns);
-  EXPECT_EQ(ext.calls, 3);
-  EXPECT_EQ(runs, 2);  // revived twice
-}
-
 }  // namespace
 }  // namespace nisc::sysc
