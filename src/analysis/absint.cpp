@@ -32,19 +32,23 @@ std::uint32_t eval_concrete(Op op, std::uint32_t a, std::uint32_t b) noexcept {
                                         32);
     case Op::Mulhsu:
       return static_cast<std::uint32_t>((static_cast<std::int64_t>(static_cast<std::int32_t>(a)) *
-                                         static_cast<std::int64_t>(static_cast<std::uint64_t>(b))) >>
+                                         static_cast<std::int64_t>(
+                                             static_cast<std::uint64_t>(b))) >>
                                         32);
     case Op::Mulhu:
-      return static_cast<std::uint32_t>((static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
+      return static_cast<std::uint32_t>(
+          (static_cast<std::uint64_t>(a) * static_cast<std::uint64_t>(b)) >> 32);
     case Op::Div:
       if (b == 0) return ~0u;
       if (a == 0x80000000u && b == ~0u) return a;
-      return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) / static_cast<std::int32_t>(b));
+      return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) /
+                                        static_cast<std::int32_t>(b));
     case Op::Divu: return b == 0 ? ~0u : a / b;
     case Op::Rem:
       if (b == 0) return a;
       if (a == 0x80000000u && b == ~0u) return 0;
-      return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) % static_cast<std::int32_t>(b));
+      return static_cast<std::uint32_t>(static_cast<std::int32_t>(a) %
+                                        static_cast<std::int32_t>(b));
     case Op::Remu: return b == 0 ? a : a % b;
     default: return 0;
   }

@@ -588,7 +588,8 @@ void run_context_pass(const Cfg& cfg, const CallGraph& cg, const SummaryTable& t
                                    "call to '" + callee_name + "' passes register " +
                                        reg_name(er.reg) +
                                        " which is never written on any path to the call; '" +
-                                       callee_name + "' reads it on line " + std::to_string(er.line),
+                                       callee_name + "' reads it on line " +
+                                       std::to_string(er.line),
                                    site.line, via_line);
             }
           }

@@ -101,7 +101,8 @@ std::pair<int, std::string> split_line_prefix(const std::string& what) {
     if (colon != std::string::npos) {
       auto line = util::parse_int(trim(std::string_view(what).substr(5, colon - 5)));
       if (line && *line > 0) {
-        return {static_cast<int>(*line), std::string(trim(std::string_view(what).substr(colon + 1)))};
+        return {static_cast<int>(*line),
+                std::string(trim(std::string_view(what).substr(colon + 1)))};
       }
     }
   }
@@ -130,7 +131,8 @@ NolintMap scan_nolint(const std::vector<std::string>& lines) {
     if (after < line.size() && line[after] == '(') {
       std::size_t close = line.find(')', after);
       if (close != std::string::npos) {
-        for (std::string_view rule : util::split(std::string_view(line).substr(after + 1, close - after - 1), ',')) {
+        const std::string_view list = std::string_view(line).substr(after + 1, close - after - 1);
+        for (std::string_view rule : util::split(list, ',')) {
           rule = trim(rule);
           if (!rule.empty()) rules.emplace(rule);
         }

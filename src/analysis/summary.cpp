@@ -136,7 +136,7 @@ Context context_push(const Context& ctx, std::size_t site, std::size_t k) {
   if (k == 0) return {};
   Context out = ctx;
   out.push_back(site);
-  if (out.size() > k) out.erase(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(out.size() - k));
+  if (out.size() > k) out.erase(out.begin(), out.end() - static_cast<std::ptrdiff_t>(k));
   return out;
 }
 

@@ -349,7 +349,8 @@ std::string describe_checkpoint(const Checkpoint& checkpoint) {
   if (checkpoint.iss) {
     const IssSnapshot& iss = *checkpoint.iss;
     out << "  ISS : pc=0x" << hex32(iss.pc) << " instret=" << iss.instret
-        << " cycles=" << iss.cycles << " halt=" << iss::halt_name(static_cast<iss::Halt>(iss.last_halt))
+        << " cycles=" << iss.cycles
+        << " halt=" << iss::halt_name(static_cast<iss::Halt>(iss.last_halt))
         << " mem=" << iss.mem_size << "B in " << iss.pages.size() << " page(s), "
         << iss.breakpoints.size() << " bp, " << iss.watchpoints.size() << " wp\n";
   }

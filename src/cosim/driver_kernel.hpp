@@ -9,10 +9,9 @@
 // and at the end of each cycle it forwards device interrupts on the
 // *socket interrupt port* (paper: port 4445).
 //
-// ISS side: ScPortDriver is the device driver embedded in the RTOS. Guest
-// code calls the driver API (SYS_DEV_WRITE / SYS_DEV_READ); the driver
-// exchanges the §4.2 message format with this extension. The hosting
-// DriverTarget turns interrupt messages into rtos ISR dispatches.
+// ISS side: ScPortDriver (cosim/sc_port_driver.hpp) is the device driver
+// embedded in the RTOS. Sending on either endpoint steps the hosting
+// DriverTarget, which turns interrupt messages into rtos ISR dispatches.
 #pragma once
 
 #include <algorithm>
@@ -23,7 +22,6 @@
 #include "cosim/error.hpp"
 #include "cosim/time_budget.hpp"
 #include "ipc/message.hpp"
-#include "rtos/rtos.hpp"
 #include "sysc/iss_port.hpp"
 #include "sysc/kernel.hpp"
 
@@ -111,42 +109,6 @@ class DriverKernelExtension : public sysc::kernel_extension {
   /// stats_ values already pushed into the metrics registry (the delta is
   /// published once per run() from on_run_end).
   DriverKernelStats published_;
-};
-
-/// The device driver registered inside the RTOS: forwards guest dev_write
-/// payloads as WRITE messages to one iss_in port, and serves guest dev_read
-/// from the stream of values the kernel pushes for one iss_out port.
-class ScPortDriver : public rtos::Driver {
- public:
-  ScPortDriver(ipc::Channel data, std::string write_port, std::string read_port);
-
-  std::string_view name() const noexcept override { return "scdev"; }
-  std::size_t write(std::span<const std::uint8_t> data) override;
-  std::size_t read(std::span<std::uint8_t> out) override;
-
-  /// True while bytes the kernel sent sit unread on the data channel
-  /// (ipc::Channel::input_waiting: past any fault plan, so a suppressed poll
-  /// cannot hide data from the target that re-steps an idle guest).
-  bool has_unread();
-
-  /// True once the data channel died: writes are swallowed (returning 0 to
-  /// the guest) and reads only drain what already arrived.
-  bool degraded() const noexcept { return degraded_; }
-
-  std::uint64_t frames_sent() const noexcept { return frames_sent_; }
-  std::uint64_t frames_received() const noexcept { return frames_received_; }
-
- private:
-  void drain_incoming();
-  void mark_degraded(const char* what);
-
-  ipc::Channel data_;
-  std::string write_port_;
-  std::string read_port_;
-  std::deque<std::uint8_t> rx_;
-  bool degraded_ = false;
-  std::uint64_t frames_sent_ = 0;
-  std::uint64_t frames_received_ = 0;
 };
 
 }  // namespace nisc::cosim

@@ -57,8 +57,7 @@ void GdbWrapperModule::cycle() {
     if (pending_binding_ != nullptr) {
       if (!ready(*pending_binding_)) {
         (void)client_.read_pc();  // blocking sync round trip, result unused
-        ++stats_.steps;
-        obs::counter("cosim.gdbw.steps").add(1);
+        count_step();
         return;
       }
       if (service(*pending_binding_)) return;
@@ -73,11 +72,16 @@ void GdbWrapperModule::cycle() {
   }
 }
 
+void GdbWrapperModule::count_step() {
+  ++stats_.steps;
+  static obs::Counter& c_steps = obs::counter("cosim.gdbw.steps");
+  c_steps.add(1);
+}
+
 void GdbWrapperModule::cycle_quantum() {
   // One blocking round trip: the per-cycle lock-step synchronization.
   rsp::StopReply stop = client_.run_quantum(options_.instructions_per_cycle);
-  ++stats_.steps;
-  obs::counter("cosim.gdbw.steps").add(1);
+  count_step();
   if (stop.signal == 0) return;  // quantum exhausted, still running
   const std::uint32_t pc = stop.pc ? *stop.pc : client_.read_pc();
   handle_stop(pc, stop.signal);
@@ -88,8 +92,7 @@ void GdbWrapperModule::cycle_single_step() {
   for (std::uint64_t i = 0; i < options_.instructions_per_cycle; ++i) {
     // One blocking RSP round trip per instruction.
     rsp::StopReply stop = client_.step();
-    ++stats_.steps;
-    obs::counter("cosim.gdbw.steps").add(1);
+    count_step();
     const std::uint32_t pc = stop.pc ? *stop.pc : client_.read_pc();
     if (pc == prev_pc) {
       // No forward progress: the guest sits on its final ebreak.

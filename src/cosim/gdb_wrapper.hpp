@@ -73,6 +73,8 @@ class GdbWrapperModule : public sysc::sc_module {
   void fail(const std::string& what);
   void cycle_quantum();
   void cycle_single_step();
+  /// Counts one blocking lock-step round trip.
+  void count_step();
   /// Handles one stop; returns true when the wrapper should end this cycle.
   bool handle_stop(std::uint32_t pc, int signal);
   /// Transfers the binding's value if its port is ready, else holds the ISS

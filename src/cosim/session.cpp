@@ -1,5 +1,6 @@
 #include "cosim/session.hpp"
 
+#include "ipc/message.hpp"
 #include "iss/assembler.hpp"
 #include "util/log.hpp"
 
@@ -10,50 +11,61 @@ namespace {
 /// Transfers each session's wire capture keeps for post-mortems.
 constexpr std::size_t kCaptureFrames = 32;
 
+/// Builds an in-process session wire: `a` is its kernel side, `b` its
+/// target side. Both ends run on the kernel thread, so the pair is linked: a
+/// transfer that cannot complete now never will, and an end found empty
+/// stays empty until the other end sends. Nothing was sent to the target
+/// side yet, so it starts with no news. `plan` bites the target side; a
+/// capture ring named `capture_label` (if any) and `observer` tap the kernel
+/// side, whose sends and waits run `step`.
+ipc::ChannelPair make_session_wire(ipc::Transport transport, std::function<bool()> step,
+                                   const ipc::FaultPlan& plan = {},
+                                   const char* capture_label = nullptr,
+                                   std::shared_ptr<ipc::WireObserver> observer = nullptr) {
+  ipc::ChannelPair wire = ipc::make_channel_pair(transport);
+  wire.link_same_thread();
+  wire.b.assume_empty();
+  if (!plan.empty()) ipc::FaultyChannel::install(wire.b, plan);
+  if (capture_label != nullptr) {
+    wire.a.attach_capture(std::make_shared<ipc::WireCapture>(capture_label, kCaptureFrames));
+  }
+  wire.a.attach_observer(std::move(observer));
+  wire.a.set_inline_peer(std::move(step));
+  return wire;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // GdbTarget
 
-GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config)
-    : config_(std::move(config)) {
+GdbTarget::GdbTarget(const std::string& guest_source, GdbTargetConfig config) {
   FilteredSource filtered = filter_pragmas(guest_source);
-  program_ = iss::assemble(filtered.source);
-  bindings_ = resolve_bindings(filtered.bindings, program_);
+  const iss::Program program = iss::assemble(filtered.source);
+  bindings_ = resolve_bindings(filtered.bindings, program);
 
-  cpu_ = std::make_unique<iss::Cpu>(config_.mem_size);
-  program_.load_into(cpu_->mem());
-  cpu_->reset(program_.entry);
+  cpu_ = std::make_unique<iss::Cpu>(config.mem_size);
+  program.load_into(cpu_->mem());
+  cpu_->reset(program.entry);
 
-  // Both ends run on the kernel thread: a transfer that cannot complete now
-  // never will, and a wire end found empty stays empty until the other end
-  // sends.
-  ipc::ChannelPair pair = ipc::make_channel_pair(config_.transport);
-  pair.link_same_thread();
-  if (!config_.fault_plan.empty()) {
-    fault_state_ = ipc::FaultyChannel::install(pair.a, config_.fault_plan);
-  }
-  capture_ = std::make_shared<ipc::WireCapture>("gdb", kCaptureFrames);
-  pair.b.attach_capture(capture_);
-  if (config_.wire_observer) pair.b.attach_observer(config_.wire_observer);
-  pair.b.set_inline_peer([this] {
-    unread_ = true;
-    return step();
-  });
+  ipc::ChannelPair wire = make_session_wire(config.transport, [this] { return step(); },
+                                            config.fault_plan, "gdb",
+                                            std::move(config.wire_observer));
   budget_.set_idle(true);  // the stub starts halted
   budget_.set_consumer([this] { step(); });
-  stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(pair.a));
-  client_ = std::make_unique<rsp::GdbClient>(std::move(pair.b));
+  stub_ = std::make_unique<rsp::GdbStub>(*cpu_, std::move(wire.b));
+  client_ = std::make_unique<rsp::GdbClient>(std::move(wire.a));
 }
 
 GdbTarget::~GdbTarget() { shutdown(); }
 
 bool GdbTarget::step() {
-  if (!unread_ && !stub_->running()) return false;
+  ipc::Channel& wire = stub_->channel();
+  if (!stub_->running() && !wire.has_news()) return false;
+  bool worked = stub_->poll();
   // A suppressed or short read can leave part of a request behind: keep
   // stepping until a step that finds no work also finds the wire drained.
-  bool worked = stub_->poll();
-  if (!worked && unread_) unread_ = stub_->input_pending();
+  const bool unread = !worked && !stub_->done() && wire.has_news() && wire.input_waiting();
   while (budget_.ready()) {
     const std::uint64_t cycles_before = cpu_->cycles();
     if (!stub_->run_slice(TimeBudget::kSlice)) break;  // halted or ended
@@ -64,7 +76,7 @@ bool GdbTarget::step() {
   // once the debt of its last slice is paid.
   budget_.set_idle(!stub_->running());
   if (stub_->done()) budget_.close();  // killed, detached or disconnected
-  return worked || unread_;
+  return worked || unread;
 }
 
 void GdbTarget::shutdown() {
@@ -86,35 +98,24 @@ void GdbTarget::shutdown() {
 // ---------------------------------------------------------------------------
 // DriverTarget
 
-DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig config)
-    : config_(std::move(config)) {
-  util::require(!config_.write_port.empty() && !config_.read_port.empty(),
+DriverTarget::DriverTarget(const std::string& guest_source, DriverTargetConfig config) {
+  util::require(!config.write_port.empty() && !config.read_port.empty(),
                 "DriverTarget: write_port/read_port must name iss ports");
-  program_ = iss::assemble(rtos::guest_abi_prelude() + guest_source);
+  cpu_ = std::make_unique<iss::Cpu>(config.mem_size);
+  kernel_ = std::make_unique<rtos::Kernel>(*cpu_, config.rtos);
+  kernel_->load(iss::assemble(rtos::guest_abi_prelude() + guest_source));
 
-  cpu_ = std::make_unique<iss::Cpu>(config_.mem_size);
-  kernel_ = std::make_unique<rtos::Kernel>(*cpu_, config_.rtos);
-  kernel_->load(program_);
-
-  ipc::ChannelPair data = ipc::make_channel_pair(config_.transport);
-  ipc::ChannelPair irq = ipc::make_channel_pair(config_.transport);
-  data.link_same_thread();
-  irq.link_same_thread();
-  if (!config_.fault_plan.empty()) {
-    fault_state_ = ipc::FaultyChannel::install(data.b, config_.fault_plan);
-  }
-  capture_ = std::make_shared<ipc::WireCapture>("drv-data", kCaptureFrames);
-  data.a.attach_capture(capture_);
-  if (config_.wire_observer) data.a.attach_observer(config_.wire_observer);
-  if (config_.irq_observer) irq.b.attach_observer(config_.irq_observer);
-  data.a.set_inline_peer([this] { return on_data_sent(); });
-  irq.a.set_inline_peer([this] { return on_interrupt_sent(); });
+  ipc::ChannelPair data = make_session_wire(config.transport, [this] { return step(); },
+                                            config.fault_plan, "drv-data",
+                                            std::move(config.wire_observer));
+  ipc::ChannelPair irq = make_session_wire(config.transport, [this] { return step(); });
+  irq.b.attach_observer(std::move(config.irq_observer));
   data_kernel_side_ = std::move(data.a);
   irq_kernel_side_ = std::move(irq.a);
   irq_target_side_ = std::move(irq.b);
 
-  auto driver = std::make_unique<ScPortDriver>(std::move(data.b), config_.write_port,
-                                               config_.read_port);
+  auto driver = std::make_unique<ScPortDriver>(std::move(data.b), std::move(config.write_port),
+                                               std::move(config.read_port));
   driver_ = driver.get();
   int dev = kernel_->register_driver(std::move(driver));
   util::require(dev == 0, "DriverTarget: scdev must be device 0");
@@ -131,42 +132,32 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
   return std::move(irq_kernel_side_);
 }
 
-bool DriverTarget::on_data_sent() {
-  unread_ = true;
-  return step();
-}
-
-bool DriverTarget::on_interrupt_sent() {
-  // The paper's "thread that listens to the interrupts generated from the
-  // SystemC device" (§4.1), run inline: queue each irq for ISR dispatch and
-  // report the acknowledge edge of the DriverIrq automaton.
-  try {
-    while (auto msg = ipc::try_recv_message(irq_target_side_)) {
-      if (auto irq = msg->irq()) {
-        kernel_->raise_irq(*irq);
-        irq_target_side_.notify_observer("ack");
-      }
-    }
-  } catch (const util::RuntimeError&) {
-    // Interrupt socket closed (the port quiesced): nothing more to deliver.
-  }
-  return step();
-}
-
-bool DriverTarget::wake_pending() {
-  if (kernel_->irq_pending()) return true;
-  if (unread_) unread_ = driver_->has_unread();
-  return unread_;
-}
-
 bool DriverTarget::step() {
+  if (irq_target_side_.has_news()) {
+    // The paper's "thread that listens to the interrupts generated from the
+    // SystemC device" (§4.1), run inline: queue each irq for ISR dispatch
+    // and report the acknowledge edge of the DriverIrq automaton.
+    try {
+      while (auto msg = ipc::try_recv_message(irq_target_side_)) {
+        if (auto irq = msg->irq()) {
+          kernel_->raise_irq(*irq);
+          irq_target_side_.notify_observer("ack");
+        }
+      }
+    } catch (const util::RuntimeError&) {
+      // Interrupt socket closed (the port quiesced): nothing more to deliver.
+    }
+  }
+  ipc::Channel& data = driver_->channel();
   bool ran = false;
   while (budget_.ready()) {
     const bool was_idle = last_status_ == rtos::RunStatus::Idle;
     if (was_idle) {
       // Every guest thread waits on a device read: the CPU idles, burning
-      // its allowance, until the kernel sends it something.
-      if (!wake_pending()) {
+      // its allowance, until an irq or bytes for the driver wake it.
+      const bool woken = kernel_->irq_pending() ||
+                         (!driver_->degraded() && data.has_news() && data.input_waiting());
+      if (!woken) {
         budget_.set_idle(true);
         return ran;
       }

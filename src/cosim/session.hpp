@@ -7,14 +7,16 @@
 // stub (for the GDB-Wrapper and GDB-Kernel schemes), DriverTarget hosts an
 // ISS + eCos-like RTOS + device driver (for the Driver-Kernel scheme).
 //
-// A target runs at two kinds of points, both on the kernel thread: after
-// each TimeBudget deposit, and whenever a kernel-side endpoint sends to it or
-// waits for its reply (the endpoint's inline-peer hook). No guest code runs
-// before the first deposit or send. Both targets spend CPU time by the
-// budget's one rule: while the guest runs and the budget is ready, run a
-// slice of TimeBudget::kSlice instructions, then charge the cycles it cost.
-// A slice therefore runs as soon as the target is stepped (for the GDB
-// target, at the 'c' that resumes it), and later deposits pay for it.
+// A target has one entry point, step(), run on the kernel thread after each
+// TimeBudget deposit and whenever a kernel-side endpoint sends to it or
+// waits for its reply (the endpoint's inline-peer hook), so no guest code
+// runs before the first deposit or send. It does work only when the guest
+// runs or the target's wire end has news (ipc::Channel::has_news). Both
+// targets spend CPU time by the budget's one rule: while the guest runs and
+// the budget is ready, run a slice of TimeBudget::kSlice instructions, then
+// charge the cycles it cost. A slice therefore runs as soon as the target
+// is stepped (for the GDB target, at the 'c' that resumes it), and later
+// deposits pay for it.
 //
 // No wait on a session wire keeps a clock: a reply that is not on the wire
 // once the target's step goes idle never comes, so the wait fails at once,
@@ -26,14 +28,13 @@
 #include <memory>
 #include <string>
 
-#include "cosim/driver_kernel.hpp"
 #include "cosim/pragma.hpp"
+#include "cosim/sc_port_driver.hpp"
 #include "cosim/time_budget.hpp"
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
 #include "ipc/fault.hpp"
 #include "iss/cpu.hpp"
-#include "iss/program.hpp"
 #include "rsp/client.hpp"
 #include "rsp/stub.hpp"
 #include "rtos/rtos.hpp"
@@ -65,41 +66,35 @@ class GdbTarget {
   GdbTarget(const GdbTarget&) = delete;
   GdbTarget& operator=(const GdbTarget&) = delete;
 
-  const iss::Program& program() const noexcept { return program_; }
   const std::vector<BreakpointBinding>& bindings() const noexcept { return bindings_; }
   rsp::GdbClient& client() noexcept { return *client_; }
   TimeBudget& budget() noexcept { return budget_; }
   const rsp::GdbStub& stub() const noexcept { return *stub_; }
 
   /// Fault-injection stats handle (null without a fault_plan).
-  const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Client-side wire capture.
-  const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
+  const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept {
+    return stub_->channel().faults();
+  }
 
   iss::Cpu& cpu() noexcept { return *cpu_; }
 
   /// Polls the stub once: it handles pending packets and, while the guest
   /// runs and the budget is ready, runs slices and charges their cycles. A
-  /// halted stub with no unread request has nothing to do and is skipped. A
-  /// stub that ended closes the budget. Called by budget deposits and by the
-  /// client's inline-peer hook. Returns false when the stub is idle: it did
-  /// nothing and holds no unread request.
+  /// halted stub whose wire end has no news has nothing to do and is
+  /// skipped. A stub that ended closes the budget. Called by budget deposits
+  /// and by the client's inline-peer hook. Returns false when the stub is
+  /// idle: it did nothing and no request waits on its wire end.
   bool step();
 
   /// Halts and kills the stub over RSP, then closes the budget (idempotent).
   void shutdown();
 
  private:
-  GdbTargetConfig config_;
-  iss::Program program_;
   std::vector<BreakpointBinding> bindings_;
   std::unique_ptr<iss::Cpu> cpu_;
   TimeBudget budget_;
   std::unique_ptr<rsp::GdbStub> stub_;
   std::unique_ptr<rsp::GdbClient> client_;
-  std::shared_ptr<ipc::FaultState> fault_state_;
-  std::shared_ptr<ipc::WireCapture> capture_;
-  bool unread_ = false;  ///< the client sent bytes the stub may not have read
   bool shut_down_ = false;
 };
 
@@ -140,23 +135,24 @@ class DriverTarget {
   ipc::Channel take_data_endpoint();
   ipc::Channel take_interrupt_endpoint();
 
-  const iss::Program& program() const noexcept { return program_; }
   rtos::Kernel& kernel() noexcept { return *kernel_; }
   TimeBudget& budget() noexcept { return budget_; }
   iss::Cpu& cpu() noexcept { return *cpu_; }
   const ScPortDriver& driver() const noexcept { return *driver_; }
 
   /// Fault-injection stats handle (null without a fault_plan).
-  const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept { return fault_state_; }
-  /// Kernel-side data-port wire capture.
-  const std::shared_ptr<ipc::WireCapture>& capture() const noexcept { return capture_; }
+  const std::shared_ptr<ipc::FaultState>& fault_state() const noexcept {
+    return driver_->channel().faults();
+  }
 
-  /// Runs the guest as far as the allowance reaches, by the budget's
-  /// pay-after rule. OS overhead (syscalls, context switches, ISR entry) is
-  /// charged as cycles by the RTOS model and slows the guest down in
-  /// simulated time: the paper's Figure 7 effect. A guest whose threads all
-  /// wait on device reads runs again only when the kernel sent it bytes it
-  /// has not read, or an irq. Returns true when it ran the guest.
+  /// Queues the irqs waiting on the interrupt socket, then runs the guest as
+  /// far as the allowance reaches, by the budget's pay-after rule. OS
+  /// overhead (syscalls, context switches, ISR entry) is charged as cycles
+  /// by the RTOS model and slows the guest down in simulated time: the
+  /// paper's Figure 7 effect. A guest whose threads all wait on device reads
+  /// runs again only for a pending irq or for bytes on the driver's wire
+  /// end. Called by budget deposits and by both kernel-side endpoints'
+  /// inline-peer hooks. Returns true when it ran the guest.
   bool step();
 
   /// Ends stepping by closing the budget (idempotent).
@@ -167,13 +163,6 @@ class DriverTarget {
   rtos::RunStatus last_status() const noexcept { return last_status_; }
 
  private:
-  /// Inline-peer hooks of the kernel-side data and interrupt endpoints.
-  bool on_data_sent();
-  bool on_interrupt_sent();
-  bool wake_pending();
-
-  DriverTargetConfig config_;
-  iss::Program program_;
   std::unique_ptr<iss::Cpu> cpu_;
   std::unique_ptr<rtos::Kernel> kernel_;
   ScPortDriver* driver_ = nullptr;  // owned by kernel_
@@ -181,9 +170,6 @@ class DriverTarget {
   ipc::Channel data_kernel_side_;
   ipc::Channel irq_kernel_side_;
   ipc::Channel irq_target_side_;
-  std::shared_ptr<ipc::FaultState> fault_state_;
-  std::shared_ptr<ipc::WireCapture> capture_;
-  bool unread_ = false;  ///< the kernel sent data the driver may not have read
   bool finished_ = false;
   rtos::RunStatus last_status_ = rtos::RunStatus::Budget;
 };

@@ -595,7 +595,8 @@ struct Supervisor::Impl {
   }
 };
 
-Supervisor::Supervisor(SupervisorConfig config) : impl_(std::make_unique<Impl>(std::move(config))) {}
+Supervisor::Supervisor(SupervisorConfig config)
+    : impl_(std::make_unique<Impl>(std::move(config))) {}
 Supervisor::~Supervisor() = default;
 
 SupervisorOutcome Supervisor::run() { return impl_->run(); }

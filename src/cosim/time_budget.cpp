@@ -6,11 +6,10 @@ namespace nisc::cosim {
 
 void TimeBudget::deposit(std::uint64_t cycles) {
   if (closed_) return;
-  const std::uint64_t paid = std::min(cycles, debt_);
-  debt_ -= paid;
-  // An idle consumer's allowance burns off immediately; it still runs, so a
-  // target woken by pending input can resume.
-  if (!idle_) tokens_ += cycles - paid;
+  balance_ += static_cast<std::int64_t>(cycles);
+  // An idle consumer's allowance burns off as soon as its debt is paid; it
+  // still runs, so a target woken by pending input can resume.
+  if (idle_) balance_ = std::min<std::int64_t>(balance_, 0);
   if (consumer_) consumer_();
 }
 
@@ -22,15 +21,9 @@ void TimeBudget::advance_to(std::uint64_t now_ps, std::uint64_t cycles_per_us) {
   deposit(scaled / 1000000);
 }
 
-void TimeBudget::charge(std::uint64_t cycles) {
-  const std::uint64_t paid = std::min(cycles, tokens_);
-  tokens_ -= paid;
-  debt_ += cycles - paid;
-}
-
 void TimeBudget::set_idle(bool idle) {
   idle_ = idle;
-  if (idle) tokens_ = 0;  // burn whatever was banked
+  if (idle) balance_ = std::min<std::int64_t>(balance_, 0);  // burn whatever was banked
 }
 
 }  // namespace nisc::cosim

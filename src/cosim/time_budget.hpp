@@ -6,12 +6,13 @@
 // both budget-metered schemes. A target runs a slice of kSlice instructions
 // as soon as the previous slice is paid for, then charges the cycles the
 // slice cost: CycleModel cycles, plus the RTOS costs under Driver-Kernel.
-// What the banked allowance cannot cover is debt, and later deposits pay it
-// before they bank anything. Both sides live on the kernel thread: each
-// deposit runs the target (the budget's consumer) at once, so it spends its
-// allowance before simulated time moves on, and the same deposits always buy
-// the same guest progress. The bank needs no cap: a running target spends it
-// down at every deposit, and an idle one burns it.
+// The budget is one signed balance: banked allowance, or the debt of slices
+// the allowance could not cover, which later deposits pay before they bank
+// anything. Both sides live on the kernel thread: each deposit steps the
+// target (the budget's consumer) at once, so it spends its allowance before
+// simulated time moves on, and the same deposits always buy the same guest
+// progress. The bank needs no cap: a running target spends it down at every
+// deposit, and an idle one burns it.
 //
 // Whoever ends a session (the target when its stub exits or its guest exits
 // or faults, a kernel extension on a transport failure) closes the budget: a
@@ -44,11 +45,11 @@ class TimeBudget {
 
   /// True while the budget is open and owes nothing: the target may run its
   /// next slice.
-  bool ready() const noexcept { return !closed_ && debt_ == 0; }
+  bool ready() const noexcept { return !closed_ && balance_ >= 0; }
 
-  /// Pays a slice's `cycles` out of the banked allowance and books the rest
-  /// as debt.
-  void charge(std::uint64_t cycles);
+  /// Pays a slice's `cycles` out of the balance; what the banked allowance
+  /// cannot cover becomes debt.
+  void charge(std::uint64_t cycles) { balance_ -= static_cast<std::int64_t>(cycles); }
 
   /// Marks the consumer as idle: an idle CPU burns its allowance doing
   /// nothing, so deposits bank nothing until the consumer wakes.
@@ -59,13 +60,13 @@ class TimeBudget {
   void close() noexcept { closed_ = true; }
 
   bool closed() const noexcept { return closed_; }
-  std::uint64_t available() const noexcept { return tokens_; }
-  std::uint64_t debt() const noexcept { return debt_; }
+  /// The two sides of the balance: banked allowance, and debt.
+  std::uint64_t available() const noexcept { return balance_ > 0 ? balance_ : 0; }
+  std::uint64_t debt() const noexcept { return balance_ < 0 ? -balance_ : 0; }
 
  private:
   std::function<void()> consumer_;
-  std::uint64_t tokens_ = 0;
-  std::uint64_t debt_ = 0;
+  std::int64_t balance_ = 0;  ///< banked allowance if positive, debt if negative
   bool closed_ = false;
   bool idle_ = false;
   std::uint64_t last_time_ps_ = 0;

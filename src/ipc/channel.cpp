@@ -138,7 +138,7 @@ void Channel::notify_observer(std::string_view tag) {
 }
 
 bool Channel::input_waiting() {
-  if (link_.quiet()) return false;
+  if (!has_news()) return false;
   if (poll_readable(read_fd_, 0)) return true;
   link_.found_empty();
   return false;
@@ -160,7 +160,7 @@ bool Channel::readable(int timeout_ms) {
 std::size_t Channel::recv_some(std::span<std::uint8_t> out) {
   // The fault plan counts every call, also one that finds nothing.
   if (faults_) out = out.first(std::min(faults_->recv_cap(), out.size()));
-  if (link_.quiet()) return 0;
+  if (!has_news()) return 0;
   const std::size_t n = read_some_nonblocking(read_fd_, out, io_timeout_ms_ >= 0);
   if (n == 0) {
     link_.found_empty();

@@ -23,8 +23,8 @@
 // The two endpoints of such a wire are linked (ChannelPair::link_same_thread):
 // bytes can reach one end only after the other end sends, closes or is
 // destroyed, so each end counts its sends, and an end whose read side was
-// found empty answers "nothing there" without a syscall until the peer's
-// count moves.
+// found empty has no news (nothing there, no syscall) until the peer's count
+// moves. A target reads its input state from its own end's news.
 #pragma once
 
 #include <array>
@@ -57,7 +57,6 @@ class Channel {
   bool valid() const noexcept { return read_fd_.valid() && write_fd_.valid(); }
 
   const Fd& read_fd() const noexcept { return read_fd_; }
-  const Fd& write_fd() const noexcept { return write_fd_; }
 
   /// Hard deadline (ms) for each blocking send/recv_exact; < 0 waits
   /// forever (the raw-channel default: one read/write syscall per
@@ -82,10 +81,16 @@ class Channel {
   std::size_t recv_some(std::span<std::uint8_t> out);
 
   /// True while bytes (or an EOF) sit unread on this endpoint's read side.
-  /// Bypasses the fault plan, so a suppressed poll cannot hide them. A
-  /// linked endpoint polls only when its peer sent or closed since its side
-  /// was last found empty.
+  /// Bypasses the fault plan, so a suppressed poll cannot hide them. Polls
+  /// only when the endpoint has news.
   bool input_waiting();
+
+  /// False when this is a linked endpoint found empty whose peer has not
+  /// sent or closed since: nothing can be waiting. A compare, no syscall.
+  bool has_news() const noexcept { return !link_.quiet(); }
+  /// Marks a linked endpoint as found empty, for a side nothing can be
+  /// waiting on (the end of a wire nothing was sent on yet).
+  void assume_empty() noexcept { link_.found_empty(); }
 
   /// Installs the step of an in-process peer: run after every send() and
   /// while readable() waits, so the peer consumes what this side sent and
@@ -136,8 +141,7 @@ class Channel {
    public:
     Link() = default;
     Link(std::shared_ptr<SendCounts> counts, int side) : counts_(std::move(counts)), side_(side) {}
-    Link(Link&& other) noexcept
-        : counts_(std::move(other.counts_)), side_(other.side_), quiet_at_(other.quiet_at_) {}
+    Link(Link&& other) noexcept = default;  // the moved-from link counts nothing
     Link& operator=(Link&& other) noexcept;
     ~Link() { note_send(); }
 

@@ -129,7 +129,9 @@ class Assembler {
 
   static bool is_identifier(std::string_view s) {
     if (s.empty()) return false;
-    if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_' || s[0] == '.')) return false;
+    if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_' || s[0] == '.')) {
+      return false;
+    }
     for (char c : s) {
       if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.')) return false;
     }
@@ -457,7 +459,8 @@ class Assembler {
     }
 
     // Stores
-    static const std::map<std::string, Op> kStore = {{"sb", Op::Sb}, {"sh", Op::Sh}, {"sw", Op::Sw}};
+    static const std::map<std::string, Op> kStore = {
+        {"sb", Op::Sb}, {"sh", Op::Sh}, {"sw", Op::Sw}};
     if (auto it = kStore.find(m); it != kStore.end()) {
       need(2);
       auto [imm, base] = mem_operand(stmt, 1);

@@ -80,8 +80,12 @@ Halt Cpu::execute(const Instr& in) {
       switch (in.op) {
         case Op::Beq: taken = rs1 == rs2; break;
         case Op::Bne: taken = rs1 != rs2; break;
-        case Op::Blt: taken = static_cast<std::int32_t>(rs1) < static_cast<std::int32_t>(rs2); break;
-        case Op::Bge: taken = static_cast<std::int32_t>(rs1) >= static_cast<std::int32_t>(rs2); break;
+        case Op::Blt:
+          taken = static_cast<std::int32_t>(rs1) < static_cast<std::int32_t>(rs2);
+          break;
+        case Op::Bge:
+          taken = static_cast<std::int32_t>(rs1) >= static_cast<std::int32_t>(rs2);
+          break;
         case Op::Bltu: taken = rs1 < rs2; break;
         default: taken = rs1 >= rs2; break;
       }
@@ -148,7 +152,9 @@ Halt Cpu::execute(const Instr& in) {
     case Op::Andi: result = rs1 & static_cast<std::uint32_t>(in.imm); break;
     case Op::Slli: result = rs1 << in.imm; break;
     case Op::Srli: result = rs1 >> in.imm; break;
-    case Op::Srai: result = static_cast<std::uint32_t>(static_cast<std::int32_t>(rs1) >> in.imm); break;
+    case Op::Srai:
+      result = static_cast<std::uint32_t>(static_cast<std::int32_t>(rs1) >> in.imm);
+      break;
     case Op::Add: result = rs1 + rs2; break;
     case Op::Sub: result = rs1 - rs2; break;
     case Op::Sll: result = rs1 << (rs2 & 31); break;
@@ -158,7 +164,9 @@ Halt Cpu::execute(const Instr& in) {
     case Op::Sltu: result = rs1 < rs2 ? 1 : 0; break;
     case Op::Xor: result = rs1 ^ rs2; break;
     case Op::Srl: result = rs1 >> (rs2 & 31); break;
-    case Op::Sra: result = static_cast<std::uint32_t>(static_cast<std::int32_t>(rs1) >> (rs2 & 31)); break;
+    case Op::Sra:
+      result = static_cast<std::uint32_t>(static_cast<std::int32_t>(rs1) >> (rs2 & 31));
+      break;
     case Op::Or: result = rs1 | rs2; break;
     case Op::And: result = rs1 & rs2; break;
     case Op::Fence: write_rd = false; break;

@@ -138,8 +138,9 @@ Instr decode(std::uint32_t w) noexcept {
       return instr;
     }
     case kOpStore: {
-      static constexpr std::array<Op, 8> kStore = {Op::Sb,      Op::Sh,      Op::Sw,      Op::Illegal,
-                                                   Op::Illegal, Op::Illegal, Op::Illegal, Op::Illegal};
+      static constexpr std::array<Op, 8> kStore = {Op::Sb,      Op::Sh,      Op::Sw,
+                                                   Op::Illegal, Op::Illegal, Op::Illegal,
+                                                   Op::Illegal, Op::Illegal};
       instr.op = kStore[funct3];
       if (instr.op == Op::Illegal) break;
       instr.imm = sign_extend(imm_s(w), 12);

@@ -87,8 +87,8 @@ Histogram& MetricsRegistry::histogram(std::string_view name, std::vector<std::ui
                       std::adjacent_find(bounds.begin(), bounds.end()) == bounds.end(),
                   "histogram: bounds must be strictly increasing for " + std::string(name));
     it = histograms_
-             .emplace(std::string(name),
-                      std::unique_ptr<Histogram>(new Histogram(std::string(name), std::move(bounds))))
+             .emplace(std::string(name), std::unique_ptr<Histogram>(
+                                             new Histogram(std::string(name), std::move(bounds))))
              .first;
   }
   return *it->second;

@@ -1,5 +1,7 @@
 #include "router/packet.hpp"
 
+#include <algorithm>
+
 #include "util/checksum.hpp"
 
 namespace nisc::router {
@@ -8,7 +10,7 @@ std::array<std::uint32_t, kWireWords> Packet::wire_words() const noexcept {
   std::array<std::uint32_t, kWireWords> words{};
   words[0] = static_cast<std::uint32_t>(src) | (static_cast<std::uint32_t>(dst) << 8);
   words[1] = id;
-  for (int i = 0; i < kPayloadWords; ++i) words[static_cast<std::size_t>(i) + 2] = payload[static_cast<std::size_t>(i)];
+  std::copy(payload.begin(), payload.end(), words.begin() + 2);
   return words;
 }
 

@@ -14,7 +14,8 @@ Producer::Producer(std::string name, sysc::sc_fifo<Packet>& fifo,
 Packet Producer::make_packet(std::uint64_t index) {
   Packet packet;
   packet.src = static_cast<std::uint8_t>(config_.port);
-  packet.dst = static_cast<std::uint8_t>(rng_.below(static_cast<std::uint64_t>(config_.address_space)));
+  packet.dst =
+      static_cast<std::uint8_t>(rng_.below(static_cast<std::uint64_t>(config_.address_space)));
   packet.id = static_cast<std::uint32_t>(index);
   for (auto& word : packet.payload) word = rng_.next_u32();
   return packet;

@@ -65,10 +65,10 @@ std::vector<std::uint32_t> GdbClient::read_registers() {
   std::string reply = transact("g");
   if (reply.size() != 33 * 8) throw RuntimeError("read_registers: bad reply " + reply);
   std::vector<std::uint32_t> regs(33);
-  for (int i = 0; i < 33; ++i) {
-    auto value = util::hex_decode_u32_le(std::string_view(reply).substr(static_cast<std::size_t>(i) * 8, 8));
+  for (std::size_t i = 0; i < 33; ++i) {
+    auto value = util::hex_decode_u32_le(std::string_view(reply).substr(i * 8, 8));
     if (!value.ok()) throw RuntimeError("read_registers: bad hex");
-    regs[static_cast<std::size_t>(i)] = value.value();
+    regs[i] = value.value();
   }
   return regs;
 }

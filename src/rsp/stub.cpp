@@ -41,15 +41,6 @@ bool GdbStub::poll() {
   return progressed;
 }
 
-bool GdbStub::input_pending() {
-  if (done_) return false;
-  try {
-    return channel_.input_waiting();
-  } catch (const util::RuntimeError&) {
-    return false;
-  }
-}
-
 void GdbStub::pump_transport() {
   // readable() first, so a fault plan's EAGAIN storm on this endpoint bites
   // the way it bites a poll(2)-driven stub.
@@ -75,7 +66,6 @@ void GdbStub::handle_event(const RspEvent& event) {
       if (state_ == State::Running) {
         state_ = State::Halted;
         send_packet("S02");  // SIGINT
-        ++stats_.stop_replies;
       }
       break;
   }
@@ -87,7 +77,6 @@ void GdbStub::send_packet(const std::string& payload) {
 }
 
 void GdbStub::send_stop_reply(iss::Halt halt) {
-  ++stats_.stop_replies;
   // T-packets carry the pc (register 0x20) so clients avoid a read-pc
   // round trip per stop — real gdb stubs expedite registers the same way.
   const std::string pc_pair = "20:" + util::hex_encode_u32_le(cpu_.pc()) + ";";
@@ -112,7 +101,6 @@ void GdbStub::send_stop_reply(iss::Halt halt) {
 
 bool GdbStub::run_slice(std::uint64_t max_instructions) {
   if (done_ || state_ != State::Running) return false;
-  ++stats_.continue_slices;
   const iss::Halt halt = cpu_.run(max_instructions);
   if (halt == iss::Halt::Quantum) return true;  // keep running next slice
   state_ = State::Halted;
@@ -199,7 +187,6 @@ void GdbStub::handle_packet(const std::string& payload) {
         iss::Halt halt = cpu_.run(*n);
         if (halt == iss::Halt::Quantum) {
           send_packet("T00" + std::string("20:") + util::hex_encode_u32_le(cpu_.pc()) + ";");
-          ++stats_.stop_replies;
         } else {
           send_stop_reply(halt);
         }
@@ -216,7 +203,7 @@ void GdbStub::handle_packet(const std::string& payload) {
 std::string GdbStub::cmd_read_registers() {
   std::string out;
   out.reserve(kRegCount * 8);
-  for (int i = 0; i < 32; ++i) out += util::hex_encode_u32_le(cpu_.reg(static_cast<std::uint8_t>(i)));
+  for (std::uint8_t i = 0; i < 32; ++i) out += util::hex_encode_u32_le(cpu_.reg(i));
   out += util::hex_encode_u32_le(cpu_.pc());
   return out;
 }

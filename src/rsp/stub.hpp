@@ -15,7 +15,9 @@
 // pending packets, and, while the CPU runs (after 'c'), run_slice(), which
 // executes one slice of the host's choosing. The host decides how many
 // slices to run (the co-simulation layer pays for each against SystemC
-// time), and the 0x03 interrupt byte halts the target.
+// time), and the 0x03 interrupt byte halts the target. A host that wants to
+// know whether a halted stub has a request to handle reads the stub's wire
+// end (channel().has_news(), then input_waiting()).
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,6 @@ namespace nisc::rsp {
 /// Statistics exposed for benchmarks/tests.
 struct StubStats {
   std::uint64_t packets_handled = 0;
-  std::uint64_t stop_replies = 0;
-  std::uint64_t continue_slices = 0;
 };
 
 class GdbStub {
@@ -53,10 +53,8 @@ class GdbStub {
   /// True while the CPU free-runs after 'c'.
   bool running() const noexcept { return state_ == State::Running; }
 
-  /// True while bytes from the client sit unread on the transport
-  /// (ipc::Channel::input_waiting: past any fault plan, so a suppressed poll
-  /// cannot hide them).
-  bool input_pending();
+  /// The stub's end of the transport.
+  ipc::Channel& channel() noexcept { return channel_; }
 
   const StubStats& stats() const noexcept { return stats_; }
 

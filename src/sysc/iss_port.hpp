@@ -31,11 +31,11 @@ class iss_port_base : public sc_object {
   enum class Direction { In, Out };
 
   iss_port_base(std::string name, Direction direction)
-      : sc_object(std::move(name)),
+      : sc_object(name),
         direction_(direction),
         written_(this->name() + ".written"),
         consumed_(this->name() + ".consumed") {
-    context().register_iss_port(this);
+    context().register_iss_port(this, name);
   }
 
   Direction direction() const noexcept { return direction_; }

@@ -360,10 +360,11 @@ void sc_simcontext::unregister_extension(kernel_extension* extension) noexcept {
   std::erase(extensions_, extension);
 }
 
-void sc_simcontext::register_iss_port(iss_port_base* port) {
+void sc_simcontext::register_iss_port(iss_port_base* port, std::string_view requested) {
   util::require(port != nullptr, "register_iss_port: null");
-  util::require(find_iss_port(port->name()) == nullptr,
-                "register_iss_port: duplicate port name " + port->name());
+  if (port->name() != requested) {
+    throw util::LogicError("iss port name " + std::string(requested) + " is already taken");
+  }
   iss_ports_.push_back(port);
 }
 
@@ -663,7 +664,8 @@ void sc_simcontext::restore_state(const kernel_state& state) {
 }
 
 std::string sc_simcontext::unique_name(const std::string& base) {
-  if (objects_by_name_.find(base) == objects_by_name_.end() && name_counters_.find(base) == name_counters_.end()) {
+  if (objects_by_name_.find(base) == objects_by_name_.end() &&
+      name_counters_.find(base) == name_counters_.end()) {
     name_counters_[base] = 0;
     return base;
   }

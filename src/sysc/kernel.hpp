@@ -346,8 +346,10 @@ class sc_simcontext {
   void set_monitor(access_monitor* monitor) noexcept { monitor_ = monitor; }
   access_monitor* monitor() const noexcept { return monitor_; }
 
-  /// iss_in / iss_out registry (paper's kernel-level port table).
-  void register_iss_port(iss_port_base* port);
+  /// iss_in / iss_out registry (paper's kernel-level port table). Traffic
+  /// is routed by port name, so a port whose `requested` name was already
+  /// taken (sc_object gave it another) is a LogicError.
+  void register_iss_port(iss_port_base* port, std::string_view requested);
   iss_port_base* find_iss_port(std::string_view name) const noexcept;
   const std::vector<iss_port_base*>& iss_ports() const noexcept { return iss_ports_; }
 

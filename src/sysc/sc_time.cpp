@@ -8,9 +8,11 @@ std::string sc_time::to_string() const {
   char buf[48];
   if (ps_ == ~0ULL) return "t_max";
   if (ps_ % 1000000000000ULL == 0) {
-    std::snprintf(buf, sizeof(buf), "%llu s", static_cast<unsigned long long>(ps_ / 1000000000000ULL));
+    std::snprintf(buf, sizeof(buf), "%llu s",
+                  static_cast<unsigned long long>(ps_ / 1000000000000ULL));
   } else if (ps_ % 1000000000ULL == 0) {
-    std::snprintf(buf, sizeof(buf), "%llu ms", static_cast<unsigned long long>(ps_ / 1000000000ULL));
+    std::snprintf(buf, sizeof(buf), "%llu ms",
+                  static_cast<unsigned long long>(ps_ / 1000000000ULL));
   } else if (ps_ % 1000000ULL == 0) {
     std::snprintf(buf, sizeof(buf), "%llu us", static_cast<unsigned long long>(ps_ / 1000000ULL));
   } else if (ps_ % 1000ULL == 0) {

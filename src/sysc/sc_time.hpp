@@ -75,7 +75,7 @@ inline namespace time_literals {
 constexpr sc_time operator""_ps(unsigned long long v) { return sc_time::from_ps(v); }
 constexpr sc_time operator""_ns(unsigned long long v) { return sc_time::from_ps(v * 1000ULL); }
 constexpr sc_time operator""_us(unsigned long long v) { return sc_time::from_ps(v * 1000000ULL); }
-constexpr sc_time operator""_ms(unsigned long long v) { return sc_time::from_ps(v * 1000000000ULL); }
+constexpr sc_time operator""_ms(unsigned long long v) { return operator""_us(v * 1000ULL); }
 }  // namespace time_literals
 
 }  // namespace nisc::sysc

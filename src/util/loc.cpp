@@ -14,7 +14,8 @@ LocCount count_loc(std::string_view source) {
   std::size_t pos = 0;
   while (pos <= source.size()) {
     std::size_t eol = source.find('\n', pos);
-    std::string_view line = source.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
+    std::string_view line =
+        source.substr(pos, eol == std::string_view::npos ? std::string_view::npos : eol - pos);
     pos = (eol == std::string_view::npos) ? source.size() + 1 : eol + 1;
     if (eol == std::string_view::npos && line.empty() && pos > source.size()) break;
 

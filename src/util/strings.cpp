@@ -1,7 +1,6 @@
 #include "util/strings.hpp"
 
 #include <cctype>
-#include <limits>
 
 namespace nisc::util {
 
@@ -63,7 +62,7 @@ std::optional<std::int64_t> parse_int(std::string_view s) noexcept {
     s.remove_prefix(2);
   }
   std::uint64_t value = 0;
-  const std::uint64_t limit = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) + (negative ? 1 : 0);
+  const std::uint64_t limit = std::uint64_t{INT64_MAX} + (negative ? 1 : 0);
   for (char c : s) {
     int digit;
     if (c >= '0' && c <= '9') {
@@ -76,7 +75,8 @@ std::optional<std::int64_t> parse_int(std::string_view s) noexcept {
       return std::nullopt;
     }
     if (digit >= base) return std::nullopt;
-    std::uint64_t next = value * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
+    std::uint64_t next =
+        value * static_cast<std::uint64_t>(base) + static_cast<std::uint64_t>(digit);
     if (next > limit || next / base != value) return std::nullopt;
     value = next;
   }

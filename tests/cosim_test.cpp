@@ -357,6 +357,7 @@ TEST(GdbKernelTest, AWaitingStopIsOneRoundTripSpan) {
   EXPECT_EQ(from_cpu.read(), 42u);
   EXPECT_EQ(ext.stats().breakpoint_events, 2u);
   EXPECT_GT(ext.stats().polls, 10u);  // the iss_out stop waited
+  EXPECT_EQ(ext.stats().polls, 13u);  // exact golden
   EXPECT_EQ(spans, 2u);
   target.shutdown();
 }
@@ -390,6 +391,7 @@ TEST(GdbTargetTest, AllowanceDoesNotDependOnRunSlicing) {
   const std::uint64_t whole = gdb_spin(guest, 10000, 1, 100_us).cycles;
   const std::uint64_t split = gdb_spin(guest, 10000, 10, 10_us).cycles;
   EXPECT_GE(whole, 99u * 10000u);  // the guest ran at its nominal speed
+  EXPECT_EQ(whole, 1003520u);      // exact golden
   EXPECT_EQ(split, whole);
 }
 
@@ -449,6 +451,7 @@ TEST(GdbWrapperTest, SingleShotRoundTrip) {
   // Lock-step: one blocking quantum round trip per clock cycle; the guest
   // needs several cycles at 4 instructions each.
   EXPECT_GE(wrapper.stats().steps, 3u);
+  EXPECT_EQ(wrapper.stats().steps, 4u);  // exact golden
   EXPECT_EQ(wrapper.stats().breakpoint_events, 2u);
   target.shutdown();
 }
@@ -607,6 +610,8 @@ TEST_F(DriverFixture, ReadIncrementWriteRoundTrip) {
   EXPECT_EQ(from_cpu->read(), 42u);
   EXPECT_GE(ext->stats().messages_in, 1u);   // the guest's WRITE
   EXPECT_GE(ext->stats().messages_out, 1u);  // the pushed input value
+  EXPECT_EQ(ext->stats().messages_in, 1u);   // exact goldens
+  EXPECT_EQ(ext->stats().messages_out, 1u);
 }
 
 TEST_F(DriverFixture, ElaborationRejectsAnUnknownOwnedPort) {
@@ -745,6 +750,7 @@ TEST(DriverTargetTest, AllowanceDoesNotDependOnRunSlicing) {
   const std::uint64_t whole = spin_cycles(1, 100_us);
   const std::uint64_t split = spin_cycles(10, 10_us);
   EXPECT_GE(whole, 99u * 10000u);  // the guest ran at its nominal speed
+  EXPECT_EQ(whole, 1003670u);      // exact golden
   EXPECT_EQ(split, whole);
 }
 

@@ -282,6 +282,21 @@ TEST_P(SchemeEndToEnd, OverloadDropsPackets) {
   EXPECT_GT(r.dropped_input, 0u) << "scheme " << scheme_name(GetParam());
   EXPECT_LT(r.forwarded_pct, 100.0);
   EXPECT_EQ(r.checksum_bad, 0u);  // whatever arrives is intact
+  // Exact goldens, per scheme: the run is a function of its configuration.
+  struct Golden {
+    std::uint64_t dropped_input;
+    std::uint64_t received;
+    std::uint64_t kernel_delta_cycles;
+  };
+  Golden golden{};
+  switch (GetParam()) {
+    case Scheme::GdbWrapper: golden = {146, 14, 3114}; break;
+    case Scheme::GdbKernel: golden = {139, 21, 2149}; break;
+    case Scheme::DriverKernel: golden = {100, 60, 2182}; break;
+  }
+  EXPECT_EQ(r.dropped_input, golden.dropped_input);
+  EXPECT_EQ(r.received, golden.received);
+  EXPECT_EQ(r.kernel_delta_cycles, golden.kernel_delta_cycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeEndToEnd,
@@ -307,6 +322,10 @@ TEST(TestbenchTest, ReportAccountsForEveryPacket) {
   EXPECT_EQ(r.produced,
             r.received + r.dropped_input + r.dropped_no_route + r.dropped_output);
   EXPECT_GT(r.kernel_delta_cycles, 0u);
+  // Exact goldens.
+  EXPECT_EQ(r.produced, 20u);
+  EXPECT_EQ(r.received, 20u);
+  EXPECT_EQ(r.kernel_delta_cycles, 2146u);
 }
 
 TEST(TestbenchTest, ConstructionRunsNoGuestCode) {
@@ -338,6 +357,7 @@ TEST(TestbenchTest, DriverSchemeUsesMessages) {
   bench.run_until_drained(sysc::sc_time(50, sysc::SC_MS));
   TestbenchReport r = bench.report();
   EXPECT_GE(r.driver_messages, 4u);  // >= one push + one write per packet
+  EXPECT_EQ(r.driver_messages, 4u);  // exact golden
   EXPECT_EQ(r.lockstep_steps, 0u);
   EXPECT_EQ(r.received, 2u);
 }
@@ -444,6 +464,8 @@ TEST(MultiCpuTest, TwoGdbCpusShareTheLoad) {
   EXPECT_GT(rs.per_engine[0], 0u);
   EXPECT_GT(rs.per_engine[1], 0u);
   EXPECT_EQ(rs.per_engine[0] + rs.per_engine[1], 32u);
+  EXPECT_EQ(rs.per_engine[0], 16u);  // exact goldens
+  EXPECT_EQ(rs.per_engine[1], 16u);
 }
 
 TEST(MultiCpuTest, TwoDriverCpusShareTheLoad) {
@@ -460,8 +482,11 @@ TEST(MultiCpuTest, TwoDriverCpusShareTheLoad) {
   EXPECT_EQ(r.received, 24u);
   EXPECT_EQ(r.checksum_ok, 24u);
   const RouterStats& rs = bench.router().stats();
+  ASSERT_EQ(rs.per_engine.size(), 2u);
   EXPECT_GT(rs.per_engine[0], 0u);
   EXPECT_GT(rs.per_engine[1], 0u);
+  EXPECT_EQ(rs.per_engine[0], 12u);  // exact goldens
+  EXPECT_EQ(rs.per_engine[1], 12u);
 }
 
 TEST(MultiCpuTest, SecondCpuRaisesSaturationThroughput) {
@@ -503,6 +528,7 @@ TEST(TestbenchTest, WrapperSchemeCountsLockstepSteps) {
   // One quantum round trip per stop at least: 6 word injections + 1 result
   // delivery for the single packet.
   EXPECT_GE(r.lockstep_steps, 7u);
+  EXPECT_EQ(r.lockstep_steps, 1001u);  // exact golden
   EXPECT_EQ(r.breakpoint_events, 7u);
   EXPECT_EQ(r.received, 1u);
 }

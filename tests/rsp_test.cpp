@@ -114,7 +114,7 @@ class RspLoopback : public ::testing::Test {
     pair.b.set_inline_peer([this] {
       bool worked = stub_->poll();
       worked = stub_->run_slice(kSlice) || worked;
-      return worked || stub_->input_pending();
+      return worked || (!stub_->done() && stub_->channel().input_waiting());
     });
     client_ = std::make_unique<GdbClient>(std::move(pair.b));
   }

@@ -921,11 +921,12 @@ TEST(IssPortTest, OutPortRejectsDeliver) {
 TEST(IssPortTest, DuplicateNamesRejected) {
   sc_simcontext ctx;
   iss_in<std::uint32_t> a("dup");
-  // sc_object renames to dup_1, so registration sees a fresh name; verify
-  // both are addressable.
-  iss_in<std::uint32_t> b("dup");
+  // Traffic reaches a port by its name: a second "dup", which sc_object
+  // would rename dup_1, could never be reached under the name it asked for.
+  EXPECT_THROW(iss_in<std::uint32_t>("dup"), util::LogicError);
+  EXPECT_THROW(iss_out<std::uint32_t>("dup"), util::LogicError);
   EXPECT_EQ(ctx.find_iss_port("dup"), &a);
-  EXPECT_EQ(ctx.find_iss_port("dup_1"), &b);
+  EXPECT_EQ(ctx.iss_ports().size(), 1u);
 }
 
 TEST(IssPortTest, TransferCountTracksTraffic) {

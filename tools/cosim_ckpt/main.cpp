@@ -38,7 +38,8 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw nisc::util::RuntimeError("cannot open " + path + " for writing");
-  out.write(reinterpret_cast<const char*>(bytes.data()), static_cast<std::streamsize>(bytes.size()));
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
 }
 
 int usage() {
