@@ -1,19 +1,47 @@
 #include "analysis/frame.hpp"
 
 #include <algorithm>
-#include <string_view>
+#include <string>
 
 #include "cosim/worker.hpp"
 #include "ipc/message.hpp"
-#include "util/hex.hpp"
 
 namespace nisc::analysis {
 
 namespace {
 
-/// Worker dialect: {u32 body_len, u8 op, u64 seq, payload [| u64 trace_id,
-/// u32 "FTID"]}. Mirrors cosim::recv_frame's validation, including the
-/// length+magic rule for the optional trace trailer.
+/// Reports why a cut that is not Whole ends the scan of `what` frame
+/// `loc.line` at `offset`, with `remaining` bytes left in the buffer.
+void report_cut(ipc::FrameCut cut, std::uint32_t length, const char* what, std::size_t offset,
+                std::size_t remaining, DiagEngine& diags, const SourceLoc& loc) {
+  const std::string where = std::string(what) + " #" + std::to_string(loc.line) +
+                            " at offset " + std::to_string(offset) + ": ";
+  switch (cut) {
+    case ipc::FrameCut::ShortLength:
+      diags.report(Severity::Error, "frame.truncated",
+                   where + "only " + std::to_string(remaining) +
+                       " byte(s) left, length field needs 4",
+                   loc);
+      return;
+    case ipc::FrameCut::BadLength:
+      diags.report(Severity::Error, "frame.oversized",
+                   where + "length field " + std::to_string(length) +
+                       " is out of bounds; stopping scan",
+                   loc);
+      return;
+    case ipc::FrameCut::ShortBody:
+      diags.report(Severity::Error, "frame.truncated",
+                   where + "body needs " + std::to_string(length) + " bytes but only " +
+                       std::to_string(remaining - 4) + " remain",
+                   loc);
+      return;
+    case ipc::FrameCut::Whole:
+      return;
+  }
+}
+
+/// Worker dialect: every frame is cut by cosim::cut_worker_frame, so the
+/// linter and the runtime agree on where each frame ends.
 std::size_t check_worker_frames(std::span<const std::uint8_t> buffer, DiagEngine& diags,
                                 const std::string& origin) {
   std::size_t good = 0;
@@ -21,60 +49,21 @@ std::size_t check_worker_frames(std::span<const std::uint8_t> buffer, DiagEngine
   int ordinal = 0;
   while (offset < buffer.size()) {
     ++ordinal;
-    SourceLoc loc{origin, ordinal, 0};
-    const std::size_t remaining = buffer.size() - offset;
-    if (remaining < 4) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": only " + std::to_string(remaining) +
-                       " byte(s) left, length field needs 4",
-                   loc);
+    const SourceLoc loc{origin, ordinal, 0};
+    const cosim::WorkerFrameView frame = cosim::cut_worker_frame(buffer.subspan(offset));
+    if (frame.cut != ipc::FrameCut::Whole) {
+      report_cut(frame.cut, frame.length, "worker frame", offset, buffer.size() - offset, diags,
+                 loc);
       break;
     }
-    const std::uint32_t len = util::read_le(buffer.subspan(offset), 4);
-    if (len < 1 + 8 || len > cosim::kMaxWorkerFrame) {
-      diags.report(Severity::Error, "frame.oversized",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": body length " + std::to_string(len) +
-                       " outside [9, " + std::to_string(cosim::kMaxWorkerFrame) +
-                       "]; stopping scan",
-                   loc);
-      break;
-    }
-    if (remaining - 4 < len) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "worker frame #" + std::to_string(ordinal) + " at offset " +
-                       std::to_string(offset) + ": body needs " + std::to_string(len) +
-                       " bytes but only " + std::to_string(remaining - 4) + " remain",
-                   loc);
-      break;
-    }
-    const std::span<const std::uint8_t> body = buffer.subspan(offset + 4, len);
-    const auto op = static_cast<cosim::WorkerOp>(body[0]);
-    const std::string_view name = cosim::worker_op_name(op);
-    if (name == "?") {
+    const std::string defect = cosim::worker_frame_defect(frame);
+    if (!defect.empty()) {
       diags.report(Severity::Error, "frame.malformed",
-                   "worker frame #" + std::to_string(ordinal) + ": unknown op " +
-                       std::to_string(static_cast<unsigned>(body[0])),
-                   loc);
+                   "worker frame #" + std::to_string(ordinal) + ": " + defect, loc);
     } else {
-      std::size_t payload_len = len - (1 + 8);
-      const std::size_t fixed = cosim::worker_op_fixed_payload(op);
-      if (fixed != 0 && payload_len == fixed + 12 &&
-          util::read_le(body.subspan(1 + 8 + fixed + 8), 4) == cosim::kFrameTraceMagic) {
-        payload_len = fixed;  // trace-id trailer, not payload
-      }
-      if (fixed != 0 && payload_len != fixed) {
-        diags.report(Severity::Error, "frame.malformed",
-                     "worker frame #" + std::to_string(ordinal) + " (" + std::string(name) +
-                         "): payload is " + std::to_string(payload_len) + " byte(s), op fixes " +
-                         std::to_string(fixed),
-                     loc);
-      } else {
-        ++good;
-      }
+      ++good;
     }
-    offset += 4 + len;
+    offset += frame.size();
   }
   return good;
 }
@@ -89,53 +78,31 @@ std::size_t check_frames(std::span<const std::uint8_t> buffer, DiagEngine& diags
   int ordinal = 0;
   while (offset < buffer.size()) {
     ++ordinal;
-    SourceLoc loc{origin, ordinal, 0};
-    std::size_t remaining = buffer.size() - offset;
-    if (remaining < 4) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": only " + std::to_string(remaining) +
-                       " byte(s) left, size field needs 4",
-                   loc);
+    const SourceLoc loc{origin, ordinal, 0};
+    const ipc::MessageFrameView frame = ipc::cut_message_frame(buffer.subspan(offset));
+    if (frame.cut != ipc::FrameCut::Whole) {
+      report_cut(frame.cut, frame.length, "frame", offset, buffer.size() - offset, diags, loc);
       break;
     }
-    std::uint32_t size = util::read_le(buffer.subspan(offset), 4);
-    if (size > ipc::kMaxMessageBody) {
-      diags.report(Severity::Error, "frame.oversized",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": packet_size " + std::to_string(size) + " exceeds the " +
-                       std::to_string(ipc::kMaxMessageBody) + "-byte limit; stopping scan",
-                   loc);
-      break;
-    }
-    if (remaining - 4 < size) {
-      diags.report(Severity::Error, "frame.truncated",
-                   "frame #" + std::to_string(ordinal) + " at offset " + std::to_string(offset) +
-                       ": body needs " + std::to_string(size) + " bytes but only " +
-                       std::to_string(remaining - 4) + " remain",
-                   loc);
-      break;
-    }
-    std::span<const std::uint8_t> body = buffer.subspan(offset + 4, size);
-    auto decoded = ipc::decode_message_body(body);
+    auto decoded = ipc::decode_message_body(frame.body);
     if (!decoded.ok()) {
       diags.report(Severity::Error, "frame.malformed",
                    "frame #" + std::to_string(ordinal) + ": " + decoded.error(), loc);
     } else {
       std::vector<std::uint8_t> reencoded = ipc::encode_message(decoded.value());
-      std::span<const std::uint8_t> original = buffer.subspan(offset, 4 + size);
+      std::span<const std::uint8_t> original = buffer.subspan(offset, frame.size());
       if (!std::equal(reencoded.begin(), reencoded.end(), original.begin(), original.end())) {
         diags.report(Severity::Warning, "frame.roundtrip",
                      "frame #" + std::to_string(ordinal) +
                          " decodes but is not canonical: re-encoding yields " +
                          std::to_string(reencoded.size()) + " bytes vs " +
-                         std::to_string(4 + size) + " on the wire",
+                         std::to_string(frame.size()) + " on the wire",
                      loc);
       } else {
         ++good;
       }
     }
-    offset += 4 + size;
+    offset += frame.size();
   }
   return good;
 }

@@ -8,9 +8,11 @@
 //    in the sender.
 //  * Worker: {u32 body_len, u8 op, u64 seq, payload} as produced by
 //    cosim::send_frame. Fixed-payload ops may carry the optional 12-byte
-//    FTID trace-id trailer, which is recognised by length + closing magic
-//    and is NOT a defect (postmortem captures of traced sessions must not
-//    false-positive on it).
+//    FTID trace-id trailer, which is NOT a defect (postmortem captures of
+//    traced sessions must not false-positive on it).
+// Each dialect's frames are cut by the module that owns the format
+// (ipc::cut_message_frame, cosim::cut_worker_frame), so this validator
+// cannot disagree with the runtime about where a frame ends.
 //
 // Rules:
 //  * frame.truncated (error): buffer ends inside a size field or a body.

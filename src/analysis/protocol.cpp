@@ -651,11 +651,6 @@ WireSymbol classify_rsp(const std::string& payload, bool toward_target) {
   return sym;
 }
 
-std::uint32_t read_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) | (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 namespace {
@@ -717,71 +712,52 @@ void StreamDecoder::feed(std::span<const std::uint8_t> bytes, std::vector<WireSy
 
   if (format_ == WireFormat::Worker) {
     buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-    while (buffer_.size() >= 4) {
-      const std::uint32_t len = read_le32(buffer_.data());
-      if (len < 1 + 8 || len > cosim::kMaxWorkerFrame) {
+    for (;;) {
+      const cosim::WorkerFrameView frame = cosim::cut_worker_frame(buffer_);
+      if (frame.cut == ipc::FrameCut::BadLength) {
         wedged_ = true;
         out.push_back(WireSymbol{kWkGarbage, true,
-                                 "worker frame length " + std::to_string(len) +
-                                     " outside [9, " + std::to_string(cosim::kMaxWorkerFrame) +
-                                     "] (stream corrupt?)"});
+                                 "worker frame length " + std::to_string(frame.length) +
+                                     " is out of bounds (stream corrupt?)"});
         return;
       }
-      if (buffer_.size() < 4u + len) break;
-      const auto op = static_cast<cosim::WorkerOp>(buffer_[4]);
-      std::uint64_t seq = 0;
-      for (int i = 7; i >= 0; --i) seq = (seq << 8) | buffer_[5 + static_cast<std::size_t>(i)];
-      std::size_t payload_len = len - (1 + 8);
-      // Strip the optional 12-byte FTID correlation trailer: only
-      // fixed-payload ops carry it, and only when length + closing magic
-      // both line up (cosim::recv_frame applies the same rule).
-      std::uint64_t trace_id = 0;
-      const std::size_t fixed = cosim::worker_op_fixed_payload(op);
-      if (fixed != 0 && payload_len == fixed + 12) {
-        const std::uint8_t* tail = buffer_.data() + 4 + 1 + 8 + fixed;
-        if (read_le32(tail + 8) == cosim::kFrameTraceMagic) {
-          for (int i = 7; i >= 0; --i) trace_id = (trace_id << 8) | tail[i];
-          payload_len = fixed;
-        }
-      }
-      const int symbol = worker_symbol_of(op);
+      if (frame.cut != ipc::FrameCut::Whole) break;
+      const int symbol = worker_symbol_of(frame.op);
       if (symbol >= 0) {
         WireSymbol sym;
         sym.symbol = symbol;
-        sym.detail = std::string(cosim::worker_op_name(op)) + "(seq " + std::to_string(seq) +
-                     ", " + std::to_string(payload_len) + " payload byte(s)" +
-                     (trace_id != 0 ? ", traced" : "") + ")";
+        sym.detail = std::string(cosim::worker_op_name(frame.op)) + "(seq " +
+                     std::to_string(frame.seq) + ", " + std::to_string(frame.payload.size()) +
+                     " payload byte(s)" + (frame.trace_id != 0 ? ", traced" : "") + ")";
         out.push_back(std::move(sym));
       } else {
         // Framing stays intact (plausible length), so classify the frame as
         // garbage and keep decoding subsequent ones.
-        out.push_back(WireSymbol{
-            kWkGarbage, true,
-            "unknown worker op 0x" + [](unsigned v) {
-              const char* hex = "0123456789abcdef";
-              return std::string{hex[(v >> 4) & 0xF], hex[v & 0xF]};
-            }(buffer_[4])});
+        const unsigned op = static_cast<unsigned>(frame.op);
+        const char* hex = "0123456789abcdef";
+        out.push_back(WireSymbol{kWkGarbage, true,
+                                 std::string("unknown worker op 0x") + hex[(op >> 4) & 0xF] +
+                                     hex[op & 0xF]});
       }
-      buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + static_cast<std::ptrdiff_t>(len));
+      buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(frame.size()));
     }
     return;
   }
 
   buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  while (buffer_.size() >= 4) {
-    const std::uint32_t size = read_le32(buffer_.data());
-    if (size > ipc::kMaxMessageBody) {
+  for (;;) {
+    const ipc::MessageFrameView frame = ipc::cut_message_frame(buffer_);
+    if (frame.cut == ipc::FrameCut::BadLength) {
       // An implausible size field means the stream desynchronized; there is
       // no way to find the next frame boundary.
       wedged_ = true;
       out.push_back(WireSymbol{kDkGarbage, true,
-                               "frame size " + std::to_string(size) + " exceeds the " +
-                                   std::to_string(ipc::kMaxMessageBody) + "-byte limit"});
+                               "frame size " + std::to_string(frame.length) +
+                                   " exceeds the frame size limit"});
       return;
     }
-    if (buffer_.size() < 4u + size) break;
-    const std::span<const std::uint8_t> body(buffer_.data() + 4, size);
-    util::Result<ipc::DriverMessage> msg = ipc::decode_message_body(body);
+    if (frame.cut != ipc::FrameCut::Whole) break;
+    util::Result<ipc::DriverMessage> msg = ipc::decode_message_body(frame.body);
     if (msg.ok()) {
       WireSymbol sym;
       sym.symbol = static_cast<int>(msg.value().type);
@@ -794,7 +770,7 @@ void StreamDecoder::feed(std::span<const std::uint8_t> bytes, std::vector<WireSy
       // body as garbage and keep decoding subsequent frames.
       out.push_back(WireSymbol{kDkGarbage, true, msg.error()});
     }
-    buffer_.erase(buffer_.begin(), buffer_.begin() + 4 + size);
+    buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(frame.size()));
   }
 }
 
@@ -997,22 +973,21 @@ std::size_t check_capture(std::span<const std::uint8_t> bytes, const ProtocolMod
   while (offset < bytes.size()) {
     ++frame;
     const SourceLoc loc{origin, frame, 0};
-    if (bytes.size() - offset < 4) {
+    const ipc::MessageFrameView envelope = ipc::cut_message_frame(bytes.subspan(offset));
+    if (envelope.cut == ipc::FrameCut::ShortLength) {
       diags.report(Severity::Error, "NL402",
                    "capture envelope truncated at offset " + std::to_string(offset), loc);
       break;
     }
-    const std::uint32_t size = read_le32(bytes.data() + offset);
-    if (size > ipc::kMaxMessageBody || offset + 4 + size > bytes.size()) {
+    if (envelope.cut != ipc::FrameCut::Whole) {
       diags.report(Severity::Error, "NL402",
                    "capture envelope frame " + std::to_string(frame) +
-                       " has implausible size " + std::to_string(size),
+                       " has implausible size " + std::to_string(envelope.length),
                    loc);
       break;
     }
-    util::Result<ipc::DriverMessage> msg =
-        ipc::decode_message_body(bytes.subspan(offset + 4, size));
-    offset += 4 + size;
+    util::Result<ipc::DriverMessage> msg = ipc::decode_message_body(envelope.body);
+    offset += envelope.size();
     if (!msg.ok()) {
       diags.report(Severity::Error, "NL402",
                    "capture envelope frame " + std::to_string(frame) + ": " + msg.error(), loc);

@@ -221,12 +221,12 @@ struct WireSymbol {
 };
 
 /// Incremental per-direction reassembler: raw transport bytes in, protocol
-/// symbols out. Driver-Kernel frames are rebuilt across arbitrary chunk
-/// boundaries (recv_exact captures header and body separately); worker
-/// frames (`u32 len | u8 op | u64 seq | payload`) are reassembled the same
-/// way with the optional 12-byte FTID trace trailer stripped by length +
-/// magic; RSP streams reuse rsp::PacketReader ('+'/'-' acks produce no
-/// symbol).
+/// symbols out. Driver-Kernel and worker frames are rebuilt across
+/// arbitrary chunk boundaries (recv_exact captures header and body
+/// separately) and cut by the modules that own their formats
+/// (ipc::cut_message_frame, cosim::cut_worker_frame, which also strips the
+/// worker's optional trace-id trailer); RSP streams reuse rsp::PacketReader
+/// ('+'/'-' acks produce no symbol).
 class StreamDecoder {
  public:
   /// `toward_target`: bytes flowing A->B (commands) rather than B->A
@@ -249,7 +249,7 @@ class StreamDecoder {
   WireFormat format_;
   bool toward_target_;
   bool wedged_ = false;
-  std::vector<std::uint8_t> buffer_;  // Driver-Kernel reassembly
+  std::vector<std::uint8_t> buffer_;  // Driver-Kernel / worker reassembly
   rsp::PacketReader reader_;          // RSP reassembly
 };
 

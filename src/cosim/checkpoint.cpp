@@ -3,14 +3,16 @@
 #include <algorithm>
 #include <sstream>
 
-#include "cosim/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 namespace {

@@ -12,19 +12,17 @@ namespace {
 constexpr std::size_t kCaptureFrames = 32;
 
 /// Builds an in-process session wire: `a` is its kernel side, `b` its
-/// target side. Both ends run on the kernel thread, so the pair is linked: a
-/// transfer that cannot complete now never will, and an end found empty
-/// stays empty until the other end sends. Nothing was sent to the target
-/// side yet, so it starts with no news. `plan` bites the target side; a
-/// capture ring named `capture_label` (if any) and `observer` tap the kernel
-/// side, whose sends and waits run `step`.
+/// target side. Both ends run on the kernel thread, so the pair is linked
+/// before anything is sent: a transfer that cannot complete now never will,
+/// and both ends start with no news until the other end sends. `plan` bites
+/// the target side; a capture ring named `capture_label` (if any) and
+/// `observer` tap the kernel side, whose sends and waits run `step`.
 ipc::ChannelPair make_session_wire(ipc::Transport transport, std::function<bool()> step,
                                    const ipc::FaultPlan& plan = {},
                                    const char* capture_label = nullptr,
                                    std::shared_ptr<ipc::WireObserver> observer = nullptr) {
   ipc::ChannelPair wire = ipc::make_channel_pair(transport);
   wire.link_same_thread();
-  wire.b.assume_empty();
   if (!plan.empty()) ipc::FaultyChannel::install(wire.b, plan);
   if (capture_label != nullptr) {
     wire.a.attach_capture(std::make_shared<ipc::WireCapture>(capture_label, kCaptureFrames));
@@ -133,7 +131,7 @@ ipc::Channel DriverTarget::take_interrupt_endpoint() {
 }
 
 bool DriverTarget::step() {
-  if (irq_target_side_.has_news()) {
+  if (irq_target_side_.valid() && irq_target_side_.has_news()) {
     // The paper's "thread that listens to the interrupts generated from the
     // SystemC device" (§4.1), run inline: queue each irq for ISR dispatch
     // and report the acknowledge edge of the DriverIrq automaton.
@@ -145,7 +143,9 @@ bool DriverTarget::step() {
         }
       }
     } catch (const util::RuntimeError&) {
-      // Interrupt socket closed (the port quiesced): nothing more to deliver.
+      // Interrupt socket closed (the port quiesced): nothing more to
+      // deliver. Close this end too, so no later step looks at it again.
+      irq_target_side_.close();
     }
   }
   ipc::Channel& data = driver_->channel();

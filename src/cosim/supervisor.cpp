@@ -13,16 +13,18 @@
 #include <fstream>
 #include <optional>
 
-#include "cosim/bytes.hpp"
 #include "ipc/capture.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sysc/kernel.hpp"
 #include "sysc/sc_time.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 namespace {
@@ -136,16 +138,11 @@ struct Supervisor::Impl {
   int spawn_count = 0;
 
   // -- observability (DESIGN.md §10.5-10.6) ---------------------------------
-  std::uint32_t worker_features = 0;  ///< from the latest Hello
   int ckpts_since_pull = 0;
   /// Last-N-transfers ring on the data socket; survives kill_child (the
   /// shared_ptr keeps it alive after the channel closes), so a postmortem
   /// bundle contains the dying worker's final wire traffic.
   std::shared_ptr<ipc::WireCapture> wire_capture;
-
-  bool obs_active() const noexcept {
-    return cfg.obs_export && (worker_features & kWorkerFeatureObs) != 0;
-  }
 
   // -- child lifecycle -------------------------------------------------------
 
@@ -198,19 +195,15 @@ struct Supervisor::Impl {
                          worker_op_name(hello.op));
     }
     ByteReader r(hello.payload, "Hello payload");
-    const std::uint32_t magic = r.u32();
-    if (magic != kWorkerHelloMagic) {
+    if (r.u32() != kWorkerHelloMagic) {
       throw RuntimeError("supervisor: worker protocol magic mismatch");
     }
-    // Feature bits follow the magic since the obs side-band landed; a Hello
-    // without them is an older worker (no side-band spoken).
-    worker_features = r.remaining() >= 4 ? r.u32() : 0;
 
     WorkerConfig worker_cfg = cfg.worker;
     worker_cfg.fault = spawn_count < static_cast<int>(cfg.fault_plan.size())
                            ? cfg.fault_plan[static_cast<std::size_t>(spawn_count)]
                            : WorkerFault{};
-    if (obs_active()) worker_cfg.obs_export = true;
+    if (cfg.obs_export) worker_cfg.obs_export = true;
     ++spawn_count;
 
     if (latest_ckpt.empty()) {
@@ -512,7 +505,7 @@ struct Supervisor::Impl {
   /// the normal receive loop, so a worker busy running the guest never
   /// stalls the supervisor here.
   void maybe_pull_obs() {
-    if (!obs_active()) return;
+    if (!cfg.obs_export) return;
     if (++ckpts_since_pull < cfg.obs_pull_every) return;
     ckpts_since_pull = 0;
     send_frame(data, WorkerFrame{WorkerOp::PullObs, 0, 0, {}});

@@ -55,9 +55,9 @@ struct SupervisorConfig {
 
   // -- cross-process observability (DESIGN.md §10.5-10.6) -------------------
   /// Speak the observability side-band: clock-offset handshake per spawn,
-  /// periodic ObsReport pulls, final pull before Done. Requires a worker
-  /// that advertises kWorkerFeatureObs in its Hello (older workers degrade
-  /// to the plain protocol).
+  /// periodic ObsReport pulls, final pull before Done. Sets the shipped
+  /// WorkerConfig's obs_export too; every worker built from this tree
+  /// speaks it.
   bool obs_export = false;
   /// Pull an ObsReport every N applied checkpoints (>= 1).
   int obs_pull_every = 1;

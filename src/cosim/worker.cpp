@@ -1,5 +1,6 @@
 #include "cosim/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -9,17 +10,19 @@
 #include <optional>
 #include <thread>
 
-#include "cosim/bytes.hpp"
 #include "cosim/checkpoint.hpp"
 #include "iss/assembler.hpp"
 #include "iss/cpu.hpp"
 #include "iss/program.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace nisc::cosim {
 
+using util::ByteReader;
+using util::ByteWriter;
 using util::RuntimeError;
 
 const char* worker_op_name(WorkerOp op) noexcept {
@@ -44,15 +47,11 @@ const char* worker_op_name(WorkerOp op) noexcept {
 
 std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
   ByteWriter w;
-  w.blob({reinterpret_cast<const std::uint8_t*>(config.guest_source.data()),
-          config.guest_source.size()});
+  w.str32(config.guest_source);
   w.u64(config.mem_size);
   w.u64(config.ckpt_every);
   w.u8(static_cast<std::uint8_t>(config.fault.kind));
   w.u64(config.fault.at_instret);
-  // Observability extension: tagged so pre-extension decoders (which stop
-  // here) and post-extension decoders (which verify the magic) both work.
-  w.u32(kWorkerConfigExtMagic);
   std::uint8_t flags = 0;
   if (config.trace) flags |= 1;
   if (config.obs_export) flags |= 2;
@@ -67,23 +66,19 @@ std::vector<std::uint8_t> encode_worker_config(const WorkerConfig& config) {
 WorkerConfig decode_worker_config(std::span<const std::uint8_t> payload) {
   ByteReader r(payload, "worker config");
   WorkerConfig config;
-  const std::vector<std::uint8_t> source = r.blob();
-  config.guest_source.assign(reinterpret_cast<const char*>(source.data()), source.size());
+  config.guest_source = r.str32();
   config.mem_size = r.u64();
   config.ckpt_every = r.u64();
   util::require(config.ckpt_every > 0, "worker config: ckpt_every must be positive");
   config.fault.kind = static_cast<FaultKind>(r.u8());
   config.fault.at_instret = r.u64();
-  if (r.remaining() >= 4 && r.u32() == kWorkerConfigExtMagic) {
-    const std::uint8_t flags = r.u8();
-    config.trace = (flags & 1) != 0;
-    config.obs_export = (flags & 2) != 0;
-    config.trace_buf = r.u64();
-    config.clock_period_ps = r.u32();
-    config.worker_index = r.u32();
-    config.session_label = r.str();
-    // Bytes after the extension belong to a future revision; ignore them.
-  }
+  const std::uint8_t flags = r.u8();
+  config.trace = (flags & 1) != 0;
+  config.obs_export = (flags & 2) != 0;
+  config.trace_buf = r.u64();
+  config.clock_period_ps = r.u32();
+  config.worker_index = r.u32();
+  config.session_label = r.str();
   return config;
 }
 
@@ -98,11 +93,18 @@ std::size_t worker_op_fixed_payload(WorkerOp op) noexcept {
   }
 }
 
+namespace {
+
+/// Bytes of the trace-id trailer: u64 trace_id | u32 kFrameTraceMagic.
+constexpr std::size_t kTrailerSize = 12;
+
+}  // namespace
+
 void send_frame(ipc::Channel& channel, const WorkerFrame& frame) {
   const std::size_t fixed = worker_op_fixed_payload(frame.op);
   const bool trailer = frame.trace_id != 0 && fixed != 0 && frame.payload.size() == fixed;
   ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(1 + 8 + frame.payload.size() + (trailer ? 12 : 0)));
+  w.u32(static_cast<std::uint32_t>(1 + 8 + frame.payload.size() + (trailer ? kTrailerSize : 0)));
   w.u8(static_cast<std::uint8_t>(frame.op));
   w.u64(frame.seq);
   w.bytes(frame.payload);
@@ -113,62 +115,73 @@ void send_frame(ipc::Channel& channel, const WorkerFrame& frame) {
   channel.send(w.data());
 }
 
-WorkerFrame recv_frame(ipc::Channel& channel) {
-  std::uint8_t head[4];
-  channel.recv_exact(head);
-  const std::uint32_t body_len = static_cast<std::uint32_t>(head[0]) | (head[1] << 8) |
-                                 (head[2] << 16) | (static_cast<std::uint32_t>(head[3]) << 24);
-  if (body_len < 1 + 8 || body_len > kMaxWorkerFrame) {
-    throw RuntimeError("worker frame: implausible body length " + std::to_string(body_len) +
-                       " (stream corrupt?)");
+WorkerFrameView cut_worker_frame(std::span<const std::uint8_t> bytes) noexcept {
+  WorkerFrameView frame;
+  if (bytes.size() < 4) return frame;
+  ByteReader r(bytes, "worker frame");
+  frame.length = r.u32();
+  if (frame.length < 1 + 8 || frame.length > kMaxWorkerFrame) {
+    frame.cut = ipc::FrameCut::BadLength;
+    return frame;
   }
-  std::vector<std::uint8_t> body(body_len);
-  channel.recv_exact(body);
-  ByteReader r(body, "worker frame body");
-  WorkerFrame frame;
+  if (r.remaining() < frame.length) {
+    frame.cut = ipc::FrameCut::ShortBody;
+    return frame;
+  }
+  frame.cut = ipc::FrameCut::Whole;
   frame.op = static_cast<WorkerOp>(r.u8());
   frame.seq = r.u64();
-  frame.payload = r.bytes(r.remaining());
-  // Strip the optional correlation trailer: only fixed-payload ops carry it,
-  // and only when the length and closing magic both line up (anything else
-  // is a plain payload from an older peer).
+  frame.payload = r.view(frame.length - (1 + 8));
   const std::size_t fixed = worker_op_fixed_payload(frame.op);
-  if (fixed != 0 && frame.payload.size() == fixed + 12) {
-    const std::uint8_t* tail = frame.payload.data() + fixed;
-    const std::uint32_t magic = static_cast<std::uint32_t>(tail[8]) | (tail[9] << 8) |
-                                (tail[10] << 16) | (static_cast<std::uint32_t>(tail[11]) << 24);
-    if (magic == kFrameTraceMagic) {
-      std::uint64_t id = 0;
-      for (int i = 7; i >= 0; --i) id = (id << 8) | tail[i];
+  if (fixed != 0 && frame.payload.size() == fixed + kTrailerSize) {
+    ByteReader trailer(frame.payload.subspan(fixed), "trace-id trailer");
+    const std::uint64_t id = trailer.u64();
+    if (trailer.u32() == kFrameTraceMagic) {
       frame.trace_id = id;
-      frame.payload.resize(fixed);
+      frame.payload = frame.payload.first(fixed);
     }
   }
   return frame;
 }
 
+std::string worker_frame_defect(const WorkerFrameView& frame) {
+  const std::string name = worker_op_name(frame.op);
+  if (name == "?") return "unknown op " + std::to_string(static_cast<unsigned>(frame.op));
+  const std::size_t fixed = worker_op_fixed_payload(frame.op);
+  if (fixed != 0 && frame.payload.size() != fixed) {
+    return name + " payload is " + std::to_string(frame.payload.size()) + " byte(s), op fixes " +
+           std::to_string(fixed);
+  }
+  return {};
+}
+
+WorkerFrame recv_frame(ipc::Channel& channel) {
+  std::uint8_t head[4];
+  channel.recv_exact(head);
+  const WorkerFrameView header = cut_worker_frame(head);
+  if (header.cut == ipc::FrameCut::BadLength) {
+    throw RuntimeError("worker frame: implausible body length " + std::to_string(header.length) +
+                       " (stream corrupt?)");
+  }
+  std::vector<std::uint8_t> bytes(header.size());
+  std::copy(std::begin(head), std::end(head), bytes.begin());
+  channel.recv_exact(std::span(bytes).subspan(4));
+  const WorkerFrameView view = cut_worker_frame(bytes);
+  return WorkerFrame{view.op, view.seq, view.trace_id, {view.payload.begin(), view.payload.end()}};
+}
+
 std::uint64_t peek_frame_trace_id(ipc::CaptureDir dir,
                                   std::span<const std::uint8_t> bytes) noexcept {
-  if (dir != ipc::CaptureDir::Tx || bytes.size() < 4 + 1 + 8 + 12) return 0;
-  const std::uint32_t body_len = static_cast<std::uint32_t>(bytes[0]) | (bytes[1] << 8) |
-                                 (bytes[2] << 16) | (static_cast<std::uint32_t>(bytes[3]) << 24);
-  if (bytes.size() != 4u + body_len) return 0;  // not a single whole frame
-  const std::size_t fixed = worker_op_fixed_payload(static_cast<WorkerOp>(bytes[4]));
-  if (fixed == 0 || body_len != 1 + 8 + fixed + 12) return 0;
-  const std::uint8_t* tail = bytes.data() + 4 + 1 + 8 + fixed;
-  const std::uint32_t magic = static_cast<std::uint32_t>(tail[8]) | (tail[9] << 8) |
-                              (tail[10] << 16) | (static_cast<std::uint32_t>(tail[11]) << 24);
-  if (magic != kFrameTraceMagic) return 0;
-  std::uint64_t id = 0;
-  for (int i = 7; i >= 0; --i) id = (id << 8) | tail[i];
-  return id;
+  if (dir != ipc::CaptureDir::Tx) return 0;
+  const WorkerFrameView frame = cut_worker_frame(bytes);
+  // Only a transfer that is exactly one whole frame can be read.
+  return frame.cut == ipc::FrameCut::Whole && frame.size() == bytes.size() ? frame.trace_id : 0;
 }
 
 std::vector<std::uint8_t> encode_obs_report(const WorkerObsReport& report) {
   ByteWriter w;
   w.u64(report.worker_now_ns);
-  w.blob({reinterpret_cast<const std::uint8_t*>(report.metrics_json.data()),
-          report.metrics_json.size()});
+  w.str32(report.metrics_json);
   w.bytes(obs::encode_trace_snapshot(report.trace));
   return w.take();
 }
@@ -177,9 +190,8 @@ WorkerObsReport decode_obs_report(std::span<const std::uint8_t> payload) {
   ByteReader r(payload, "obs report");
   WorkerObsReport report;
   report.worker_now_ns = r.u64();
-  const std::vector<std::uint8_t> json = r.blob();
-  report.metrics_json.assign(reinterpret_cast<const char*>(json.data()), json.size());
-  report.trace = obs::decode_trace_snapshot(r.bytes(r.remaining()));
+  report.metrics_json = r.str32();
+  report.trace = obs::decode_trace_snapshot(r.view(r.remaining()));
   return report;
 }
 
@@ -477,7 +489,6 @@ int run_worker(ipc::Channel data, ipc::Channel irq) {
     irq.set_io_timeout(30000);
     ByteWriter hello;
     hello.u32(kWorkerHelloMagic);
-    hello.u32(kWorkerFeatureObs);  // pre-feature supervisors ignore the tail
     send_frame(data, WorkerFrame{WorkerOp::Hello, 0, 0, hello.take()});
 
     const WorkerFrame init = recv_frame(data);
@@ -488,7 +499,7 @@ int run_worker(ipc::Channel data, ipc::Channel irq) {
     } else if (init.op == WorkerOp::Resume) {
       ByteReader r(init.payload, "Resume payload");
       config = decode_worker_config(r.blob());
-      restore = decode_checkpoint(r.bytes(r.remaining()));
+      restore = decode_checkpoint(r.view(r.remaining()));
     } else {
       throw RuntimeError(std::string("worker: expected Start/Resume, got ") +
                          worker_op_name(init.op));

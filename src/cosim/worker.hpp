@@ -10,15 +10,18 @@
 // (SIGKILL, hang, stream corruption) and the supervisor can really
 // recover it from the last checkpoint.
 //
-// Frame format on both sockets (little-endian):
+// Frame format on both sockets (little-endian, util::ByteWriter/ByteReader):
 //   u32 body_len | u8 op | u64 seq | payload
 //
 // Fixed-payload ops (DevWrite/DevRead/WriteAck/ReadReply/Irq) may carry an
 // optional correlation-id trailer after the payload:
 //   u64 trace_id | u32 "FTID"
-// Decoders that predate the trailer keep working: every handler reads a
-// fixed-size payload prefix and ignores trailing bytes, and new decoders
-// only strip the trailer when the length and magic both match. The
+// A frame carries the trailer when its payload is exactly the op's fixed
+// size plus 12 and ends in the magic. This module owns that rule and the
+// body_len bound: cut_worker_frame is the one place that applies them, and
+// recv_frame, peek_frame_trace_id, the frame linter and the conformance
+// monitor all cut frames with it. Both ends are built from this tree, so
+// the wire has one revision: no feature word, no version branches. The
 // trace_id doubles as a Chrome-trace flow id, so a worker-side ecall span
 // and the supervisor-side device-access span it caused render as one flow
 // arrow in the merged timeline (DESIGN.md §10.5).
@@ -49,6 +52,7 @@
 
 #include "ipc/capture.hpp"
 #include "ipc/channel.hpp"
+#include "ipc/message.hpp"
 #include "obs/trace.hpp"
 
 namespace nisc::cosim {
@@ -70,10 +74,8 @@ struct WorkerFault {
 };
 
 /// Everything a worker needs to run a guest, sent in the Start/Resume frame.
-/// The observability fields ride in a tagged extension block ("WCX1") after
-/// the original fields, so configs encoded by old supervisors decode here
-/// with the defaults and configs encoded here decode in old workers (their
-/// reader stops before the extension).
+/// Every field is encoded, in declaration order; a truncated config is
+/// rejected.
 struct WorkerConfig {
   std::string guest_source;       ///< RV32IM assembly, assembled in the worker
   std::uint64_t mem_size = 1 << 20;
@@ -104,7 +106,7 @@ enum class WorkerOp : std::uint8_t {
   ClockSync = 0x06,  ///< seq 0; payload: u64 supervisor steady-clock ns
   PullObs = 0x07,    ///< seq 0; empty payload — request an ObsReport
 
-  Hello = 0x10,      ///< payload: u32 protocol magic [| u32 feature bits]
+  Hello = 0x10,      ///< payload: u32 protocol magic
   Ckpt = 0x11,       ///< payload: checkpoint bytes (ISS + WRKR + CHAN sections)
   DevWrite = 0x12,   ///< payload: u32 addr | u32 value
   DevRead = 0x13,    ///< payload: u32 addr
@@ -118,14 +120,8 @@ const char* worker_op_name(WorkerOp op) noexcept;
 /// Magic carried by Hello frames (protocol version 1).
 inline constexpr std::uint32_t kWorkerHelloMagic = 0x314B5257u;  // "WRK1"
 
-/// Hello feature bits (appended after the magic; absent = no features).
-inline constexpr std::uint32_t kWorkerFeatureObs = 1u << 0;
-
 /// Magic closing the optional trace-id trailer on fixed-payload frames.
 inline constexpr std::uint32_t kFrameTraceMagic = 0x44495446u;  // "FTID"
-
-/// Magic opening the WorkerConfig observability extension block.
-inline constexpr std::uint32_t kWorkerConfigExtMagic = 0x31584357u;  // "WCX1"
 
 /// Guard on frame bodies; anything larger is stream corruption.
 inline constexpr std::uint32_t kMaxWorkerFrame = 64u << 20;
@@ -143,14 +139,37 @@ struct WorkerFrame {
 /// payload is variable (those never carry a trailer).
 std::size_t worker_op_fixed_payload(WorkerOp op) noexcept;
 
+/// One worker frame at the front of a byte buffer.
+struct WorkerFrameView {
+  ipc::FrameCut cut = ipc::FrameCut::ShortLength;
+  std::uint32_t length = 0;  ///< body_len; read unless ShortLength
+  // The decoded body when Whole; `payload` views the buffer and excludes
+  // the trace-id trailer, whose id lands in `trace_id` (0 = none).
+  WorkerOp op = WorkerOp::Hello;
+  std::uint64_t seq = 0;
+  std::uint64_t trace_id = 0;
+  std::span<const std::uint8_t> payload;
+
+  /// Bytes the frame takes, length field included.
+  std::size_t size() const noexcept { return 4 + std::size_t{length}; }
+};
+
+/// Cuts the first frame off `bytes`: body_len must hold op and seq and not
+/// exceed kMaxWorkerFrame; a whole frame is decoded into op, seq, payload
+/// and the optional trace-id trailer.
+WorkerFrameView cut_worker_frame(std::span<const std::uint8_t> bytes) noexcept;
+
+/// Why a whole frame is not one this protocol defines (an unknown op, or a
+/// fixed-payload op whose payload has another size); empty when it is.
+std::string worker_frame_defect(const WorkerFrameView& frame);
+
 /// Writes one frame (atomically, as a single send). A nonzero trace_id on a
 /// fixed-payload op is appended as the 12-byte trailer.
 void send_frame(ipc::Channel& channel, const WorkerFrame& frame);
 
-/// Blocking read of one frame; throws RuntimeError on a malformed or
-/// oversized header (the supervisor treats that as a protocol error and
-/// recycles the worker). Strips a well-formed trace-id trailer into
-/// frame.trace_id.
+/// Blocking read of one frame (length field, then body), cut with
+/// cut_worker_frame; throws RuntimeError on an out-of-bounds length (the
+/// supervisor treats that as a protocol error and recycles the worker).
 WorkerFrame recv_frame(ipc::Channel& channel);
 
 /// Trace-id peeker for an ipc::ObsTap on a worker-protocol socket: returns

@@ -88,9 +88,6 @@ class Channel {
   /// False when this is a linked endpoint found empty whose peer has not
   /// sent or closed since: nothing can be waiting. A compare, no syscall.
   bool has_news() const noexcept { return !link_.quiet(); }
-  /// Marks a linked endpoint as found empty, for a side nothing can be
-  /// waiting on (the end of a wire nothing was sent on yet).
-  void assume_empty() noexcept { link_.found_empty(); }
 
   /// Installs the step of an in-process peer: run after every send() and
   /// while readable() waits, so the peer consumes what this side sent and
@@ -160,7 +157,7 @@ class Channel {
 
     std::shared_ptr<SendCounts> counts_;
     int side_ = 0;
-    std::uint64_t quiet_at_ = ~std::uint64_t{0};  ///< peer's count when found empty; none yet
+    std::uint64_t quiet_at_ = 0;  ///< peer's count when last found empty
   };
 
   Fd read_fd_;
@@ -185,9 +182,11 @@ struct ChannelPair {
   /// Links the endpoints of a wire whose two ends run on one thread (an
   /// in-process session): both get I/O timeout 0, and each counts its
   /// sends, so a check of an end known to be empty costs no syscall until
-  /// the other end sends, closes or is destroyed. Costs one allocation. A
-  /// TCP pair only gets the timeout: a byte sent over loopback TCP may still
-  /// be in flight when send() returns, so an empty look proves nothing.
+  /// the other end sends, closes or is destroyed. Must be called before
+  /// the first transfer: both ends start found empty. Costs one
+  /// allocation. A TCP pair only gets the timeout: a byte sent over
+  /// loopback TCP may still be in flight when send() returns, so an empty
+  /// look proves nothing.
   void link_same_thread();
 };
 

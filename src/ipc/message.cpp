@@ -1,5 +1,8 @@
 #include "ipc/message.hpp"
 
+#include <algorithm>
+
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 
@@ -54,74 +57,65 @@ std::optional<std::uint32_t> DriverMessage::irq() const {
   return util::read_le(items[0].data, 4);
 }
 
-namespace {
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_message(const DriverMessage& msg) {
   util::require(msg.items.size() <= 0xFFFF, "encode_message: too many items");
-  std::vector<std::uint8_t> body;
-  body.push_back(static_cast<std::uint8_t>(msg.type));
-  put_u16(body, static_cast<std::uint16_t>(msg.items.size()));
+  util::ByteWriter w;
+  w.u32(0);  // packet_size, patched below
+  w.u8(static_cast<std::uint8_t>(msg.type));
+  w.u16(static_cast<std::uint16_t>(msg.items.size()));
   for (const MsgItem& item : msg.items) {
     util::require(item.port.size() <= 0xFFFF, "encode_message: port name too long");
-    put_u16(body, static_cast<std::uint16_t>(item.port.size()));
-    body.insert(body.end(), item.port.begin(), item.port.end());
-    put_u32(body, static_cast<std::uint32_t>(item.data.size()));
-    body.insert(body.end(), item.data.begin(), item.data.end());
+    w.str(item.port);
+    w.blob(item.data);
   }
-  std::vector<std::uint8_t> frame;
-  frame.reserve(4 + body.size());
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
+  std::vector<std::uint8_t> frame = w.take();
+  util::write_le(frame, 4, static_cast<std::uint32_t>(frame.size() - 4));
   return frame;
 }
 
 Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body) {
   auto fail = [](const char* why) { return Result<DriverMessage>::failure(why); };
-  std::size_t pos = 0;
-  auto need = [&](std::size_t n) { return pos + n <= body.size(); };
-
-  if (!need(3)) return fail("decode_message: truncated header");
-  std::uint8_t raw_type = body[pos++];
+  util::ByteReader r(body, "message body");
+  if (r.remaining() < 3) return fail("decode_message: truncated header");
+  const std::uint8_t raw_type = r.u8();
   if (raw_type > static_cast<std::uint8_t>(MsgType::Interrupt)) {
     return fail("decode_message: unknown type");
   }
   DriverMessage msg;
   msg.type = static_cast<MsgType>(raw_type);
-  std::uint16_t count = static_cast<std::uint16_t>(body[pos] | (body[pos + 1] << 8));
-  pos += 2;
+  const std::uint16_t count = r.u16();
   msg.items.reserve(count);
   for (std::uint16_t i = 0; i < count; ++i) {
-    if (!need(2)) return fail("decode_message: truncated port length");
-    std::uint16_t port_len = static_cast<std::uint16_t>(body[pos] | (body[pos + 1] << 8));
-    pos += 2;
-    if (!need(port_len)) return fail("decode_message: truncated port name");
+    if (r.remaining() < 2) return fail("decode_message: truncated port length");
+    const std::uint16_t port_len = r.u16();
+    if (r.remaining() < port_len) return fail("decode_message: truncated port name");
     MsgItem item;
-    item.port.assign(reinterpret_cast<const char*>(body.data() + pos), port_len);
-    pos += port_len;
-    if (!need(4)) return fail("decode_message: truncated data size");
-    std::uint32_t data_size = util::read_le(body.subspan(pos), 4);
-    pos += 4;
-    if (data_size > kMaxMessageBody || !need(data_size)) {
+    item.port = r.chars(port_len);
+    if (r.remaining() < 4) return fail("decode_message: truncated data size");
+    const std::uint32_t data_size = r.u32();
+    if (data_size > kMaxMessageBody || r.remaining() < data_size) {
       return fail("decode_message: truncated data");
     }
-    item.data.assign(body.begin() + static_cast<std::ptrdiff_t>(pos),
-                     body.begin() + static_cast<std::ptrdiff_t>(pos + data_size));
-    pos += data_size;
+    item.data = r.bytes(data_size);
     msg.items.push_back(std::move(item));
   }
-  if (pos != body.size()) return fail("decode_message: trailing bytes");
+  if (!r.done()) return fail("decode_message: trailing bytes");
   return msg;
+}
+
+MessageFrameView cut_message_frame(std::span<const std::uint8_t> bytes) noexcept {
+  MessageFrameView frame;
+  if (bytes.size() < 4) return frame;
+  frame.length = util::read_le(bytes, 4);
+  if (frame.length > kMaxMessageBody) {
+    frame.cut = FrameCut::BadLength;
+  } else if (bytes.size() < frame.size()) {
+    frame.cut = FrameCut::ShortBody;
+  } else {
+    frame.cut = FrameCut::Whole;
+    frame.body = bytes.subspan(4, frame.length);
+  }
+  return frame;
 }
 
 void send_message(Channel& channel, const DriverMessage& msg) {
@@ -129,13 +123,15 @@ void send_message(Channel& channel, const DriverMessage& msg) {
 }
 
 DriverMessage recv_message(Channel& channel) {
-  std::uint8_t size_bytes[4];
-  channel.recv_exact(size_bytes);
-  std::uint32_t size = util::read_le(size_bytes, 4);
-  if (size > kMaxMessageBody) throw RuntimeError("recv_message: oversized frame");
-  std::vector<std::uint8_t> body(size);
-  if (size > 0) channel.recv_exact(body);
-  auto msg = decode_message_body(body);
+  std::uint8_t head[4];
+  channel.recv_exact(head);
+  MessageFrameView frame = cut_message_frame(head);
+  if (frame.cut == FrameCut::BadLength) throw RuntimeError("recv_message: oversized frame");
+  std::vector<std::uint8_t> bytes(frame.size());
+  std::copy(std::begin(head), std::end(head), bytes.begin());
+  if (frame.length > 0) channel.recv_exact(std::span(bytes).subspan(4));
+  frame = cut_message_frame(bytes);
+  auto msg = decode_message_body(frame.body);
   if (!msg.ok()) throw RuntimeError(msg.error());
   return std::move(msg).value();
 }

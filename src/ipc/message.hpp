@@ -7,13 +7,18 @@
 // prose but does not name: ReadReply (kernel -> driver, the data answering a
 // READ) and Interrupt (kernel -> driver on the dedicated interrupt socket).
 //
-// Wire format (all integers little-endian):
+// Wire format (all integers little-endian, written and read with
+// util::ByteWriter / util::ByteReader):
 //   u32 packet_size      -- bytes following this field
 //   u8  type             -- MsgType
 //   u16 item_count
 //   repeated item_count times:
 //     u16 port_len, port bytes (SCPort_i)
 //     u32 data_size, data bytes (DataSize_i, Data_i; empty for READ requests)
+//
+// This module owns the framing rule: cut_message_frame is the one place
+// that reads packet_size and bounds it, and recv_message, the frame linter
+// and the conformance monitor all cut frames with it.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +72,28 @@ std::vector<std::uint8_t> encode_message(const DriverMessage& msg);
 /// Parses one message from `bytes` (which must be exactly one frame *body*,
 /// i.e. without the leading packet_size field).
 util::Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body);
+
+/// What a frame cutter found at the front of a byte buffer.
+enum class FrameCut : std::uint8_t {
+  Whole,        ///< a whole frame is there
+  ShortLength,  ///< the buffer ends inside the 4-byte length field
+  ShortBody,    ///< the buffer ends inside the body
+  BadLength,    ///< the length field is out of bounds: the stream lost its framing
+};
+
+/// One Driver-Kernel frame at the front of a byte buffer.
+struct MessageFrameView {
+  FrameCut cut = FrameCut::ShortLength;
+  std::uint32_t length = 0;            ///< packet_size; read unless ShortLength
+  std::span<const std::uint8_t> body;  ///< the frame body when Whole
+
+  /// Bytes the frame takes, length field included.
+  std::size_t size() const noexcept { return 4 + std::size_t{length}; }
+};
+
+/// Cuts the first frame off `bytes` (packet_size must not exceed
+/// kMaxMessageBody). Does not decode the body: see decode_message_body.
+MessageFrameView cut_message_frame(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Writes one framed message to the channel.
 void send_message(Channel& channel, const DriverMessage& msg);

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace nisc::obs {
@@ -193,58 +194,10 @@ void append_metadata_json(std::ostream& out, const char* meta, std::uint32_t pid
   out << "\"}}";
 }
 
-// -- snapshot byte codec ----------------------------------------------------
+// -- snapshot format (written with util::ByteWriter) -------------------------
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4352544Eu;  // "NTRC"
 inline constexpr std::uint32_t kSnapshotVersion = 1;
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-struct SnapshotReader {
-  std::span<const std::uint8_t> data;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (pos + n > data.size()) {
-      throw util::RuntimeError("truncated trace snapshot (need " + std::to_string(n) +
-                               " bytes, have " + std::to_string(data.size() - pos) + ")");
-    }
-  }
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = static_cast<std::uint32_t>(data[pos]) | (data[pos + 1] << 8) |
-                            (data[pos + 2] << 16) |
-                            (static_cast<std::uint32_t>(data[pos + 3]) << 24);
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string out(reinterpret_cast<const char*>(data.data() + pos), n);
-    pos += n;
-    return out;
-  }
-};
 
 }  // namespace
 
@@ -354,30 +307,30 @@ TraceSnapshot take_trace_snapshot() {
 }
 
 std::vector<std::uint8_t> encode_trace_snapshot(const TraceSnapshot& snapshot) {
-  std::vector<std::uint8_t> out;
-  put_u32(out, kSnapshotMagic);
-  put_u32(out, kSnapshotVersion);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.threads.size()));
+  util::ByteWriter w;
+  w.u32(kSnapshotMagic);
+  w.u32(kSnapshotVersion);
+  w.u32(static_cast<std::uint32_t>(snapshot.threads.size()));
   for (const TraceSnapshot::Thread& thread : snapshot.threads) {
-    put_u32(out, thread.tid);
-    put_u64(out, thread.dropped);
-    put_u32(out, static_cast<std::uint32_t>(thread.events.size()));
+    w.u32(thread.tid);
+    w.u64(thread.dropped);
+    w.u32(static_cast<std::uint32_t>(thread.events.size()));
     for (const TraceSnapshot::Event& e : thread.events) {
-      out.push_back(static_cast<std::uint8_t>(e.phase));
-      put_u64(out, e.ts_ns);
-      put_u64(out, e.sim_ps);
-      put_u64(out, e.arg_value);
-      put_u64(out, e.flow_id);
-      put_str(out, e.name);
-      put_str(out, e.cat);
-      put_str(out, e.arg_name);
+      w.u8(static_cast<std::uint8_t>(e.phase));
+      w.u64(e.ts_ns);
+      w.u64(e.sim_ps);
+      w.u64(e.arg_value);
+      w.u64(e.flow_id);
+      w.str32(e.name);
+      w.str32(e.cat);
+      w.str32(e.arg_name);
     }
   }
-  return out;
+  return w.take();
 }
 
 TraceSnapshot decode_trace_snapshot(std::span<const std::uint8_t> bytes) {
-  SnapshotReader r{bytes};
+  util::ByteReader r(bytes, "trace snapshot");
   if (r.u32() != kSnapshotMagic) throw util::RuntimeError("trace snapshot: bad magic");
   const std::uint32_t version = r.u32();
   if (version != kSnapshotVersion) {
@@ -394,15 +347,14 @@ TraceSnapshot decode_trace_snapshot(std::span<const std::uint8_t> bytes) {
     thread.events.reserve(events);
     for (std::uint32_t i = 0; i < events; ++i) {
       TraceSnapshot::Event e;
-      r.need(1);
-      e.phase = static_cast<char>(r.data[r.pos++]);
+      e.phase = static_cast<char>(r.u8());
       e.ts_ns = r.u64();
       e.sim_ps = r.u64();
       e.arg_value = r.u64();
       e.flow_id = r.u64();
-      e.name = r.str();
-      e.cat = r.str();
-      e.arg_name = r.str();
+      e.name = r.str32();
+      e.cat = r.str32();
+      e.arg_name = r.str32();
       thread.events.push_back(std::move(e));
     }
     snapshot.threads.push_back(std::move(thread));

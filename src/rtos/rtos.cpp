@@ -170,8 +170,8 @@ bool Kernel::dispatch_irq() {
   pending_irqs_.pop_front();
   auto it = irq_handlers_.find(irq);
   if (it == irq_handlers_.end()) {
-    // No handler yet: hold the interrupt until one attaches.
-    unclaimed_irqs_.push_back(irq);
+    // No handler yet: hold the line until one attaches.
+    held_irqs_.insert(irq);
     return false;
   }
   if (current_ >= 0) {
@@ -239,11 +239,8 @@ iss::Cpu::EcallResult Kernel::handle_ecall() {
     }
     case Sys::IrqAttach: {
       irq_handlers_[a0] = a1;
-      // Re-arm any interrupt that arrived before the handler existed.
-      auto held = std::partition(unclaimed_irqs_.begin(), unclaimed_irqs_.end(),
-                                 [&](std::uint32_t irq) { return irq != a0; });
-      pending_irqs_.insert(pending_irqs_.end(), held, unclaimed_irqs_.end());
-      unclaimed_irqs_.erase(held, unclaimed_irqs_.end());
+      // A line held before the handler existed fires now.
+      if (held_irqs_.erase(a0) != 0) pending_irqs_.push_back(a0);
       cpu_.set_reg(kA0, 0);
       return iss::Cpu::EcallResult::Handled;
     }

@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -161,12 +162,12 @@ class Kernel {
   std::vector<std::unique_ptr<Driver>> drivers_;
   int current_ = -1;
 
-  // ISR state: one interrupt level (nested irqs queue up). Interrupts that
-  // arrive before a handler is attached stay pending (level-triggered
-  // semantics) and fire on attach.
+  // ISR state: one interrupt level (nested irqs queue up). A line raised
+  // before a handler is attached is held (level-triggered semantics: held
+  // once, however often it was raised) and fires once on attach.
   std::map<std::uint32_t, std::uint32_t> irq_handlers_;
   std::deque<std::uint32_t> pending_irqs_;
-  std::vector<std::uint32_t> unclaimed_irqs_;
+  std::set<std::uint32_t> held_irqs_;
   bool in_isr_ = false;
   Thread interrupted_;  // context saved across the ISR
   int interrupted_tid_ = -1;

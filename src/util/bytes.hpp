@@ -1,17 +1,21 @@
-// Little-endian byte codec shared by the checkpoint format and the
-// supervisor<->worker frame protocol (checkpoint.cpp, worker.cpp,
-// supervisor.cpp). Writer appends; Reader is bounds-checked and throws
-// RuntimeError naming the structure being decoded on truncation.
+// The byte codec of every binary format in this tree (§4.2 Driver-Kernel
+// messages, supervisor<->worker frames, NCKP checkpoints and trace
+// snapshots): each is written with ByteWriter and read with ByteReader,
+// little-endian.
+// The writer appends; the reader is bounds-checked and throws RuntimeError
+// naming the structure being decoded on truncation. A decoder that must not
+// throw checks remaining() before each read.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.hpp"
 
-namespace nisc::cosim {
+namespace nisc::util {
 
 class ByteWriter {
  public:
@@ -31,16 +35,22 @@ class ByteWriter {
   void bytes(std::span<const std::uint8_t> data) {
     out_.insert(out_.end(), data.begin(), data.end());
   }
+  void chars(std::string_view s) { out_.insert(out_.end(), s.begin(), s.end()); }
   /// Length-prefixed (u32) byte blob.
   void blob(std::span<const std::uint8_t> data) {
     u32(static_cast<std::uint32_t>(data.size()));
     bytes(data);
   }
   /// Length-prefixed (u16) string.
-  void str(const std::string& s) {
-    util::require(s.size() <= 0xFFFF, "byte codec: string too long");
+  void str(std::string_view s) {
+    require(s.size() <= 0xFFFF, "byte codec: string too long");
     u16(static_cast<std::uint16_t>(s.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+    chars(s);
+  }
+  /// Length-prefixed (u32) string.
+  void str32(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    chars(s);
   }
 
   std::vector<std::uint8_t> take() { return std::move(out_); }
@@ -70,30 +80,33 @@ class ByteReader {
     std::uint64_t lo = u32();
     return lo | (static_cast<std::uint64_t>(u32()) << 32);
   }
-  std::vector<std::uint8_t> bytes(std::size_t n) {
+  /// The next `n` bytes, in place.
+  std::span<const std::uint8_t> view(std::size_t n) {
     need(n);
-    std::vector<std::uint8_t> out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                  data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+    const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
     pos_ += n;
     return out;
+  }
+  std::vector<std::uint8_t> bytes(std::size_t n) {
+    const std::span<const std::uint8_t> in = view(n);
+    return {in.begin(), in.end()};
+  }
+  std::string chars(std::size_t n) {
+    const std::span<const std::uint8_t> in = view(n);
+    return {reinterpret_cast<const char*>(in.data()), in.size()};
   }
   std::vector<std::uint8_t> blob() { return bytes(u32()); }
-  std::string str() {
-    std::size_t n = u16();
-    need(n);
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return out;
-  }
+  std::string str() { return chars(u16()); }
+  std::string str32() { return chars(u32()); }
 
   bool done() const noexcept { return pos_ == data_.size(); }
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
   void need(std::size_t n) {
-    if (pos_ + n > data_.size()) {
-      throw util::RuntimeError(std::string("truncated ") + what_ + " (need " + std::to_string(n) +
-                               " bytes, have " + std::to_string(remaining()) + ")");
+    if (n > remaining()) {
+      throw RuntimeError(std::string("truncated ") + what_ + " (need " + std::to_string(n) +
+                         " bytes, have " + std::to_string(remaining()) + ")");
     }
   }
 
@@ -102,4 +115,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-}  // namespace nisc::cosim
+}  // namespace nisc::util

@@ -284,6 +284,64 @@ TEST(WorkerCodecTest, FramesRoundTripOverASocketpair) {
   EXPECT_EQ(recv_frame(pair.a), empty);
 }
 
+// Known answers for the worker wire: a DevWrite frame without and with the
+// FTID trace-id trailer, as read off a socketpair.
+TEST(WorkerCodecTest, DevWriteFrameBytesArePinned) {
+  using Bytes = std::vector<std::uint8_t>;
+  auto wire_bytes = [](std::uint64_t trace_id, std::size_t size) {
+    ipc::ChannelPair pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
+    pair.b.set_io_timeout(2000);
+    send_frame(pair.a, WorkerFrame{WorkerOp::DevWrite, 5, trace_id, {0, 2, 0, 0, 9, 0, 0, 0}});
+    Bytes out(size);
+    pair.b.recv_exact(out);
+    EXPECT_FALSE(pair.b.readable(0));
+    return out;
+  };
+  EXPECT_EQ(wire_bytes(0, 21),
+            (Bytes{0x11, 0x00, 0x00, 0x00, 0x12, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00}));
+  EXPECT_EQ(wire_bytes(0x0001000000000042ULL, 33),
+            (Bytes{0x1d, 0x00, 0x00, 0x00, 0x12, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00,
+                   0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x42,
+                   0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x46, 0x54, 0x49, 0x44}));
+}
+
+TEST(WorkerCodecTest, ConfigBytesArePinned) {
+  WorkerConfig config;
+  config.guest_source = "ecall\n";
+  config.mem_size = 0x10000;
+  config.ckpt_every = 32;
+  config.fault = {FaultKind::CrashAt, 77};
+  config.trace = true;
+  config.obs_export = true;
+  config.trace_buf = 256;
+  config.clock_period_ps = 2000;
+  config.worker_index = 3;
+  config.session_label = "w3";
+  const std::vector<std::uint8_t> expected = {
+      0x06, 0x00, 0x00, 0x00, 0x65, 0x63, 0x61, 0x6c, 0x6c, 0x0a, 0x00, 0x00,
+      0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,
+      0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x07, 0x00, 0x00,
+      0x03, 0x00, 0x00, 0x00, 0x02, 0x00, 0x77, 0x33};
+  EXPECT_EQ(encode_worker_config(config), expected);
+  EXPECT_EQ(decode_worker_config(expected), config);
+}
+
+// The worker opens every session with Hello; a first reply other than
+// Start or Resume ends it.
+TEST(WorkerCodecTest, HelloPayloadIsPinned) {
+  ipc::ChannelPair data = ipc::make_channel_pair(ipc::Transport::SocketPair);
+  ipc::ChannelPair irq = ipc::make_channel_pair(ipc::Transport::SocketPair);
+  data.a.set_io_timeout(2000);
+  send_frame(data.a, WorkerFrame{WorkerOp::PullObs, 0, 0, {}});
+  EXPECT_EQ(run_worker(std::move(data.b), std::move(irq.b)), 1);
+  const WorkerFrame hello = recv_frame(data.a);
+  EXPECT_EQ(hello.op, WorkerOp::Hello);
+  EXPECT_EQ(hello.seq, 0u);
+  EXPECT_EQ(hello.payload, (std::vector<std::uint8_t>{0x57, 0x52, 0x4b, 0x31}));  // "WRK1"
+}
+
 TEST(WorkerCodecTest, ConfigObsExtensionRoundTrips) {
   WorkerConfig config;
   config.guest_source = kGuestSource;
@@ -298,29 +356,19 @@ TEST(WorkerCodecTest, ConfigObsExtensionRoundTrips) {
   EXPECT_EQ(decode_worker_config(encode_worker_config(config)), config);
 }
 
-TEST(WorkerCodecTest, ConfigWithoutExtensionDecodesToDefaults) {
-  // A pre-observability encoder stops after the fault block: chopping the
-  // "WCX1" extension off must decode (old-wire compatibility) and leave the
-  // obs fields at their defaults.
+TEST(WorkerCodecTest, TruncatedConfigIsRejected) {
+  // The wire has one revision: every field is required, so no prefix of an
+  // encoded config decodes.
   WorkerConfig config;
   config.guest_source = kGuestSource;
   config.trace = true;
-  config.obs_export = true;
-  config.session_label = "dropme";
-  std::vector<std::uint8_t> wire = encode_worker_config(config);
-
-  // The extension is the encoding's tail: magic + flags + trace_buf +
-  // clock_period + worker_index + label (u16 length prefix).
-  const std::size_t ext_len = 4 + 1 + 8 + 4 + 4 + 2 + config.session_label.size();
-  ASSERT_GT(wire.size(), ext_len);
-  ASSERT_EQ(wire[wire.size() - ext_len], 'W');  // "WCX1" magic starts here
-  wire.resize(wire.size() - ext_len);
-
-  const WorkerConfig decoded = decode_worker_config(wire);
-  EXPECT_EQ(decoded.guest_source, kGuestSource);
-  EXPECT_FALSE(decoded.trace);
-  EXPECT_FALSE(decoded.obs_export);
-  EXPECT_EQ(decoded.session_label, "worker");
+  config.session_label = "cut";
+  const std::vector<std::uint8_t> wire = encode_worker_config(config);
+  for (std::size_t size = 0; size < wire.size(); ++size) {
+    EXPECT_THROW(decode_worker_config(std::span(wire).first(size)), util::RuntimeError)
+        << "prefix of " << size << " byte(s)";
+  }
+  EXPECT_EQ(decode_worker_config(wire), config);
 }
 
 TEST(WorkerCodecTest, FrameTraceIdTrailerRoundTrips) {
@@ -346,12 +394,10 @@ TEST(WorkerCodecTest, FrameTraceIdTrailerRoundTrips) {
   EXPECT_EQ(recv_frame(pair.b), frame);
 }
 
-TEST(WorkerCodecTest, LegacyDecoderSeesTrailerAsPayloadSuffix) {
-  // What an old (pre-trailer) decoder does with a tagged frame: the 12-byte
-  // trailer rides inside the payload. The frame still parses — prefix
-  // fields are untouched — which is the compat contract: new fields extend,
-  // never reshape. A variable-payload op (Ckpt) never gets a trailer, so
-  // only fixed-payload ops need the suffix-tolerant read.
+TEST(WorkerCodecTest, HandEncodedTrailerIsStrippedAndPeeked) {
+  // A tagged frame written byte by byte, in two transfers: the 12-byte
+  // trailer follows the fixed payload and is not part of it. A
+  // variable-payload op (Ckpt) never gets a trailer.
   ipc::ChannelPair pair = ipc::make_channel_pair(ipc::Transport::SocketPair);
   pair.a.set_io_timeout(2000);
   pair.b.set_io_timeout(2000);
@@ -370,7 +416,7 @@ TEST(WorkerCodecTest, LegacyDecoderSeesTrailerAsPayloadSuffix) {
   pair.a.send(len);
   pair.a.send(body);
 
-  // ...the modern decoder strips it back out:
+  // ...recv_frame strips it back out:
   const WorkerFrame got = recv_frame(pair.b);
   EXPECT_EQ(got.op, WorkerOp::DevWrite);
   EXPECT_EQ(got.seq, 7u);

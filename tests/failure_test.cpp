@@ -11,6 +11,7 @@
 #include "ipc/fault.hpp"
 #include "ipc/message.hpp"
 #include "iss/assembler.hpp"
+#include "obs/metrics.hpp"
 #include "rsp/client.hpp"
 #include "rsp/stub.hpp"
 #include "sysc/sysc.hpp"
@@ -283,6 +284,24 @@ TEST(DriverTargetFailure, GuestFaultShutsDownCleanly) {
   target.budget().deposit(1000);  // the first deposit steps the guest
   EXPECT_TRUE(target.finished());
   EXPECT_EQ(target.last_status(), rtos::RunStatus::Fault);
+  target.shutdown();
+}
+
+// Both kernel-side endpoints are gone while the guest still runs: the first
+// step finds the interrupt socket closed and stops draining it, so later
+// deposits make no poll(2) for it.
+TEST(DriverTargetFailure, DeadInterruptSocketIsPolledOnce) {
+  cosim::DriverTargetConfig config;
+  config.write_port = "a";
+  config.read_port = "b";
+  cosim::DriverTarget target("_start:\nspin:\n  j spin\n", config);
+  (void)target.take_data_endpoint();
+  (void)target.take_interrupt_endpoint();
+  const obs::Counter& polls = obs::counter("ipc.polls");
+  const std::uint64_t before = polls.value();
+  for (int i = 0; i < 5; ++i) target.budget().deposit(1000);
+  EXPECT_FALSE(target.finished());
+  EXPECT_EQ(polls.value() - before, 1u);
   target.shutdown();
 }
 

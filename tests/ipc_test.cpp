@@ -181,6 +181,28 @@ TEST(MessageTest, InterruptHelper) {
   EXPECT_FALSE(other.irq().has_value());
 }
 
+// Known answers for the §4.2 wire format: any change to these bytes is a
+// protocol change, never a refactoring.
+TEST(MessageTest, EncodedBytesArePinned) {
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(encode_message(DriverMessage::write_u32("p.in", 0xDEADBEEF)),
+            (Bytes{0x11, 0x00, 0x00, 0x00, 0x01, 0x01, 0x00, 0x04, 0x00, 0x70, 0x2e,
+                   0x69, 0x6e, 0x04, 0x00, 0x00, 0x00, 0xef, 0xbe, 0xad, 0xde}));
+  EXPECT_EQ(encode_message(DriverMessage::read_request("p.out")),
+            (Bytes{0x0e, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x05, 0x00, 0x70, 0x2e, 0x6f,
+                   0x75, 0x74, 0x00, 0x00, 0x00, 0x00}));
+  DriverMessage reply;
+  reply.type = MsgType::ReadReply;
+  reply.items.push_back({"a", {0x01, 0x02}});
+  reply.items.push_back({"bc", {0x03}});
+  EXPECT_EQ(encode_message(reply),
+            (Bytes{0x15, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x01, 0x00, 0x61, 0x02, 0x00, 0x00,
+                   0x00, 0x01, 0x02, 0x02, 0x00, 0x62, 0x63, 0x01, 0x00, 0x00, 0x00, 0x03}));
+  EXPECT_EQ(encode_message(DriverMessage::interrupt(7)),
+            (Bytes{0x10, 0x00, 0x00, 0x00, 0x03, 0x01, 0x00, 0x03, 0x00, 0x69,
+                   0x72, 0x71, 0x04, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00}));
+}
+
 TEST(MessageTest, DecodeRejectsTruncatedHeader) {
   std::uint8_t body[] = {0x01};
   EXPECT_FALSE(decode_message_body(body).ok());
@@ -421,6 +443,18 @@ TEST_P(LinkedPairTest, QuietWireCostsAtMostOnePoll) {
   }
   EXPECT_EQ(answered_something, 0);
   EXPECT_LE(polls_so_far() - before, 1u);
+}
+
+TEST_P(LinkedPairTest, FreshEndsStartFoundEmpty) {
+  // Linked before the first transfer, neither end can hold anything yet:
+  // the first look at either costs no syscall.
+  ChannelPair pair = linked_pair();
+  const std::uint64_t before = polls_so_far();
+  EXPECT_FALSE(pair.a.has_news());
+  EXPECT_FALSE(pair.b.has_news());
+  EXPECT_FALSE(pair.a.readable(0));
+  EXPECT_FALSE(pair.b.readable(0));
+  EXPECT_EQ(polls_so_far(), before);
 }
 
 TEST_P(LinkedPairTest, SendIsSeenUntilTheBytesAreDrained) {

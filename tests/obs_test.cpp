@@ -263,6 +263,31 @@ TEST_F(ChromeTraceTest, TraceSnapshotEncodeDecodeRoundTrip) {
       util::RuntimeError);
 }
 
+// Known answer for the snapshot format (magic "NTRC", version 1, then each
+// thread's tid, dropped count and events with u32-length strings).
+TEST(TraceSnapshotTest, EncodedBytesArePinned) {
+  obs::TraceSnapshot snap;
+  obs::TraceSnapshot::Thread thread;
+  thread.tid = 3;
+  thread.dropped = 1;
+  thread.events.push_back({"span", "cat", "addr", 0x10, 100, 2000, 0, 'B'});
+  thread.events.push_back({"end", "c", "", 0, 150, 2500, 0x0001000000000001ULL, 'E'});
+  snap.threads.push_back(thread);
+  const std::vector<std::uint8_t> expected = {
+      0x4e, 0x54, 0x52, 0x43, 0x01, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x03, 0x00,
+      0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,
+      0x42, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xd0, 0x07, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x73, 0x70, 0x61, 0x6e, 0x03,
+      0x00, 0x00, 0x00, 0x63, 0x61, 0x74, 0x04, 0x00, 0x00, 0x00, 0x61, 0x64, 0x64, 0x72,
+      0x45, 0x96, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x09, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x01, 0x00, 0x03, 0x00, 0x00, 0x00, 0x65, 0x6e, 0x64, 0x01, 0x00,
+      0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(obs::encode_trace_snapshot(snap), expected);
+  EXPECT_EQ(obs::decode_trace_snapshot(expected), snap);
+}
+
 TEST_F(ChromeTraceTest, MergedExportAlignsClocksAndLinksFlows) {
   // Two hand-built process snapshots: a supervisor-side flow start and a
   // worker-side flow finish sharing one id, with the worker clock 5µs

@@ -422,8 +422,8 @@ TEST(WirePolls, SparseDriverKernelPollsOnlyAfterTheGuestWrote) {
     EXPECT_EQ(bench.report().received, 20u);
     return polls.value() - before;
   };
-  EXPECT_EQ(polls_with_cpus(1), 125u);
-  EXPECT_EQ(polls_with_cpus(2), 130u);
+  EXPECT_EQ(polls_with_cpus(1), 124u);
+  EXPECT_EQ(polls_with_cpus(2), 128u);
 }
 
 // ---------------------------------------------------------------- MPSoC

@@ -389,11 +389,49 @@ TEST_F(RtosFixture, IsrReceivesIrqNumberInA0) {
   EXPECT_EQ(kernel->console(), "3");
 }
 
-TEST_F(RtosFixture, UnattachedIrqIsDropped) {
+TEST_F(RtosFixture, UnattachedIrqDispatchesNothing) {
   boot("_start:\n  li a7, SYS_EXIT\n  ecall\n");
   kernel->raise_irq(42);
   EXPECT_EQ(kernel->run(100000), RunStatus::AllDone);
   EXPECT_EQ(kernel->stats().isr_dispatches, 0u);
+}
+
+// Level-triggered: a line raised several times before its handler attaches
+// is held once and fires once on attach.
+TEST_F(RtosFixture, IrqRaisedRepeatedlyBeforeAttachFiresOnceOnAttach) {
+  boot(R"(
+  _start:
+      li t0, 0
+      li t1, 20000
+  wait:
+      addi t0, t0, 1
+      blt t0, t1, wait
+      la a1, isr
+      li a0, 1
+      li a7, SYS_IRQ_ATTACH
+      ecall
+      li t0, 0
+  spin:
+      addi t0, t0, 1
+      blt t0, t1, spin
+      li a7, SYS_EXIT
+      ecall
+  isr:
+      la t2, hits
+      lw t3, 0(t2)
+      addi t3, t3, 1
+      sw t3, 0(t2)
+      ret
+  hits: .word 0
+  )");
+  for (int i = 0; i < 3; ++i) kernel->raise_irq(1);
+  // Each run() looks at one pending irq first; the guest is still waiting.
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(kernel->run(100), RunStatus::Budget);
+  EXPECT_FALSE(kernel->irq_pending());
+  EXPECT_EQ(kernel->stats().isr_dispatches, 0u);
+  EXPECT_EQ(kernel->run(1000000), RunStatus::AllDone);
+  EXPECT_EQ(kernel->stats().isr_dispatches, 1u);
+  EXPECT_EQ(cpu->mem().read32(program.symbol("hits")), 1u);
 }
 
 TEST_F(RtosFixture, IrqInterruptsRunningThreadAndResumesIt) {
