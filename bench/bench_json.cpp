@@ -19,7 +19,7 @@ int repetitions() {
     const int n = std::atoi(env);
     if (n >= 1) return n;
   }
-  return 3;
+  return quick_mode() ? 9 : 3;
 }
 
 Recorder::Recorder(std::string bench_name) : bench_(std::move(bench_name)) {}

@@ -4,8 +4,9 @@
 //
 // Environment knobs, honoured by every bench:
 //   NISC_BENCH_OUT=DIR   directory for BENCH_<name>.json (default: cwd)
-//   NISC_BENCH_REPS=N    repetitions per measured result (default: 3)
-//   NISC_BENCH_QUICK=1   CI smoke mode: shrink workloads, fewer reps
+//   NISC_BENCH_REPS=N    repetitions per measured result (default: 3, or
+//                        9 short ones in quick mode)
+//   NISC_BENCH_QUICK=1   CI smoke mode: shrink workloads, shorter reps
 //
 // File shape (schema 1):
 //   {"schema":1,"bench":"kernel","quick":false,
@@ -22,7 +23,8 @@ namespace nisc::bench {
 /// True when NISC_BENCH_QUICK is set non-empty (CI smoke mode).
 bool quick_mode();
 
-/// Repetitions per measured result: NISC_BENCH_REPS, default 3 (min 1).
+/// Repetitions per measured result: NISC_BENCH_REPS (min 1), default 3, or
+/// 9 in quick mode, where the CI gates compare each result's fastest run.
 int repetitions();
 
 /// Collects repeated measurements and renders BENCH_<bench>.json.

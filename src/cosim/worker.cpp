@@ -116,28 +116,28 @@ void send_frame(ipc::Channel& channel, const WorkerFrame& frame) {
 }
 
 WorkerFrameView cut_worker_frame(std::span<const std::uint8_t> bytes) noexcept {
+  using util::load_le;
   WorkerFrameView frame;
   if (bytes.size() < 4) return frame;
-  ByteReader r(bytes, "worker frame");
-  frame.length = r.u32();
+  frame.length = load_le<std::uint32_t>(bytes.data());
   if (frame.length < 1 + 8 || frame.length > kMaxWorkerFrame) {
     frame.cut = ipc::FrameCut::BadLength;
     return frame;
   }
-  if (r.remaining() < frame.length) {
+  if (bytes.size() < frame.size()) {
     frame.cut = ipc::FrameCut::ShortBody;
     return frame;
   }
+  // The lengths are checked, so the fields are read without a bounds check.
   frame.cut = ipc::FrameCut::Whole;
-  frame.op = static_cast<WorkerOp>(r.u8());
-  frame.seq = r.u64();
-  frame.payload = r.view(frame.length - (1 + 8));
+  frame.op = static_cast<WorkerOp>(bytes[4]);
+  frame.seq = load_le<std::uint64_t>(bytes.data() + 5);
+  frame.payload = bytes.subspan(4 + 1 + 8, frame.length - (1 + 8));
   const std::size_t fixed = worker_op_fixed_payload(frame.op);
   if (fixed != 0 && frame.payload.size() == fixed + kTrailerSize) {
-    ByteReader trailer(frame.payload.subspan(fixed), "trace-id trailer");
-    const std::uint64_t id = trailer.u64();
-    if (trailer.u32() == kFrameTraceMagic) {
-      frame.trace_id = id;
+    const std::uint8_t* trailer = frame.payload.data() + fixed;
+    if (load_le<std::uint32_t>(trailer + 8) == kFrameTraceMagic) {
+      frame.trace_id = load_le<std::uint64_t>(trailer);
       frame.payload = frame.payload.first(fixed);
     }
   }

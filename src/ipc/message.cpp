@@ -106,7 +106,7 @@ Result<DriverMessage> decode_message_body(std::span<const std::uint8_t> body) {
 MessageFrameView cut_message_frame(std::span<const std::uint8_t> bytes) noexcept {
   MessageFrameView frame;
   if (bytes.size() < 4) return frame;
-  frame.length = util::read_le(bytes, 4);
+  frame.length = util::load_le<std::uint32_t>(bytes.data());
   if (frame.length > kMaxMessageBody) {
     frame.cut = FrameCut::BadLength;
   } else if (bytes.size() < frame.size()) {

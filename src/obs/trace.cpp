@@ -336,15 +336,15 @@ TraceSnapshot decode_trace_snapshot(std::span<const std::uint8_t> bytes) {
   if (version != kSnapshotVersion) {
     throw util::RuntimeError("trace snapshot: unsupported version " + std::to_string(version));
   }
+  // The counts come off the wire and are not reserved: a corrupt count
+  // throws "truncated" at the first missing field instead of allocating.
   TraceSnapshot snapshot;
   const std::uint32_t threads = r.u32();
-  snapshot.threads.reserve(threads);
   for (std::uint32_t t = 0; t < threads; ++t) {
     TraceSnapshot::Thread thread;
     thread.tid = r.u32();
     thread.dropped = r.u64();
     const std::uint32_t events = r.u32();
-    thread.events.reserve(events);
     for (std::uint32_t i = 0; i < events; ++i) {
       TraceSnapshot::Event e;
       e.phase = static_cast<char>(r.u8());

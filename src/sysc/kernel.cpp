@@ -118,11 +118,10 @@ void sc_event::fire() {
   for (sc_process* p : static_sensitive_) {
     if (p->triggerable_by(this)) ctx_->make_runnable(p);
   }
-  if (!dynamic_waiters_.empty()) {
-    std::vector<sc_process*> waiters;
-    waiters.swap(dynamic_waiters_);
-    for (sc_process* p : waiters) ctx_->make_runnable(p);
-  }
+  // make_runnable only appends to the kernel's worklist, so the waiters can
+  // be walked in place; clear() keeps their capacity for the next wait.
+  for (sc_process* p : dynamic_waiters_) ctx_->make_runnable(p);
+  dynamic_waiters_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -434,11 +433,8 @@ void sc_simcontext::run_one_delta() {
   update_queue_.clear();
   // Delta-notification phase.
   ++stats_.delta_cycles;
-  if (!delta_events_.empty()) {
-    std::vector<sc_event*> events;
-    events.swap(delta_events_);
-    for (sc_event* e : events) e->fire();
-  }
+  for (sc_event* e : delta_events_) e->fire();  // fire() schedules nothing
+  delta_events_.clear();
   for (kernel_extension* ext : extensions_) ext->on_cycle_end(*this);
   if (monitor_ != nullptr) monitor_->on_delta_end(*this, delta_id);
   if (tracing) obs::emit('E', "kernel.delta", "kernel");
@@ -446,7 +442,7 @@ void sc_simcontext::run_one_delta() {
 
 bool sc_simcontext::advance_time(const sc_time& limit) {
   if (timed_queue_.empty()) return false;
-  sc_time next = sc_time::from_ps(timed_queue_.begin()->first.first);
+  const sc_time next = sc_time::from_ps(timed_queue_.front().ps);
   if (next > limit) {
     now_ = limit;
     return false;
@@ -460,9 +456,10 @@ bool sc_simcontext::advance_time(const sc_time& limit) {
     obs::set_thread_sim_time_ps(now_.ps());
     obs::instant("kernel.time_advance", "kernel", "sim_ps", now_.ps());
   }
-  while (!timed_queue_.empty() && timed_queue_.begin()->first.first == next.ps()) {
-    TimedEntry entry = timed_queue_.begin()->second;
-    timed_queue_.erase(timed_queue_.begin());
+  while (!timed_queue_.empty() && timed_queue_.front().ps == next.ps()) {
+    std::pop_heap(timed_queue_.begin(), timed_queue_.end(), fires_later);
+    const TimedEntry entry = timed_queue_.back();
+    timed_queue_.pop_back();
     if (entry.event != nullptr) {
       entry.event->fire();
     } else if (entry.process != nullptr) {
@@ -534,24 +531,25 @@ void sc_simcontext::schedule_event_delta(sc_event* event) {
   }
 }
 
+void sc_simcontext::push_timed(const TimedEntry& entry) {
+  timed_queue_.push_back(entry);
+  std::push_heap(timed_queue_.begin(), timed_queue_.end(), fires_later);
+}
+
 void sc_simcontext::schedule_event_timed(sc_event* event, sc_time at) {
   util::require(at >= now_, "schedule_event_timed: time in the past");
-  timed_queue_.emplace(TimedKey{at.ps(), timed_seq_++}, TimedEntry{event, nullptr});
+  push_timed({at.ps(), timed_seq_++, event, nullptr});
 }
 
 void sc_simcontext::schedule_process_timed(sc_process* process, sc_time at) {
   util::require(at >= now_, "schedule_process_timed: time in the past");
-  timed_queue_.emplace(TimedKey{at.ps(), timed_seq_++}, TimedEntry{nullptr, process});
+  push_timed({at.ps(), timed_seq_++, nullptr, process});
 }
 
 void sc_simcontext::cancel_event(sc_event* event) noexcept {
   std::erase(delta_events_, event);
-  for (auto it = timed_queue_.begin(); it != timed_queue_.end();) {
-    if (it->second.event == event) {
-      it = timed_queue_.erase(it);
-    } else {
-      ++it;
-    }
+  if (std::erase_if(timed_queue_, [event](const TimedEntry& e) { return e.event == event; }) != 0) {
+    std::make_heap(timed_queue_.begin(), timed_queue_.end(), fires_later);
   }
 }
 
@@ -604,11 +602,15 @@ kernel_state sc_simcontext::save_state() const {
   state.now_ps = now_.ps();
   state.timed_seq = timed_seq_;
   state.stats = stats_;
-  state.timed.reserve(timed_queue_.size());
-  for (const auto& [key, entry] : timed_queue_) {
+  // The snapshot lists the pending entries in firing order.
+  std::vector<TimedEntry> pending = timed_queue_;
+  std::sort(pending.begin(), pending.end(),
+            [](const TimedEntry& a, const TimedEntry& b) { return fires_later(b, a); });
+  state.timed.reserve(pending.size());
+  for (const TimedEntry& entry : pending) {
     kernel_state::timed_entry out;
-    out.at_ps = key.first;
-    out.seq = key.second;
+    out.at_ps = entry.ps;
+    out.seq = entry.seq;
     if (entry.process != nullptr) {
       out.is_process = true;
       out.name = entry.process->name();
@@ -638,7 +640,7 @@ void sc_simcontext::restore_state(const kernel_state& state) {
   timed_seq_ = state.timed_seq;
   stats_ = state.stats;
   for (const kernel_state::timed_entry& entry : state.timed) {
-    TimedEntry resolved;
+    TimedEntry resolved{entry.at_ps, entry.seq};
     if (entry.is_process) {
       sc_object* object = find_object(entry.name);
       resolved.process = dynamic_cast<sc_process*>(object);
@@ -652,7 +654,7 @@ void sc_simcontext::restore_state(const kernel_state& state) {
                                  std::to_string(entry.ordinal));
       }
     }
-    timed_queue_.emplace(TimedKey{entry.at_ps, entry.seq}, resolved);
+    push_timed(resolved);
   }
   for (const kernel_state::delta_entry& entry : state.delta_events) {
     sc_event* event = find_event(entry.name, entry.ordinal);

@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <span>
 #include <string>
 #include <string_view>
@@ -428,13 +427,21 @@ class sc_simcontext {
   };
 
  private:
-  // Timed notifications keyed by (time, insertion sequence). A sorted map —
-  // not a priority queue — so destroyed events can cancel their entries.
+  // Timed notifications: a binary min-heap on (time, insertion sequence) in
+  // a vector that keeps its capacity, so a steady-state delta allocates
+  // nothing. No two entries share a seq, so pops come out in (ps, seq)
+  // order; a destroyed event erases its entries and the heap is rebuilt.
   struct TimedEntry {
+    std::uint64_t ps = 0;
+    std::uint64_t seq = 0;
     sc_event* event = nullptr;  // exactly one of event/process is set
     sc_process* process = nullptr;
   };
-  using TimedKey = std::pair<std::uint64_t, std::uint64_t>;  // (ps, seq)
+  /// Heap order: true when `a` fires after `b`.
+  static bool fires_later(const TimedEntry& a, const TimedEntry& b) noexcept {
+    return a.ps != b.ps ? a.ps > b.ps : a.seq > b.seq;
+  }
+  void push_timed(const TimedEntry& entry);
 
   sc_time run_until(sc_time end);
   void initialize_processes();
@@ -453,7 +460,7 @@ class sc_simcontext {
   std::vector<sc_process*> runnable_;
   std::vector<sc_prim_channel*> update_queue_;
   std::vector<sc_event*> delta_events_;
-  std::multimap<TimedKey, TimedEntry> timed_queue_;
+  std::vector<TimedEntry> timed_queue_;  // heap ordered by fires_later
 
   std::vector<sc_object*> objects_;  // non-owning registry, insertion order
   std::vector<sc_event*> events_;    // non-owning registry, insertion order

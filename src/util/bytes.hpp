@@ -2,12 +2,14 @@
 // messages, supervisor<->worker frames, NCKP checkpoints and trace
 // snapshots): each is written with ByteWriter and read with ByteReader,
 // little-endian.
-// The writer appends; the reader is bounds-checked and throws RuntimeError
-// naming the structure being decoded on truncation. A decoder that must not
-// throw checks remaining() before each read.
+// The writer appends; the reader checks bounds once per field and throws
+// RuntimeError naming the structure being decoded on truncation. A decoder
+// that must not throw checks the lengths itself and reads with load_le.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -16,6 +18,18 @@
 #include "util/error.hpp"
 
 namespace nisc::util {
+
+static_assert(std::endian::native == std::endian::little,
+              "load_le copies wire bytes in host order");
+
+/// The little-endian T in the sizeof(T) bytes at `p`, which the caller has
+/// checked exist.
+template <typename T>
+T load_le(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
 
 class ByteWriter {
  public:
@@ -64,22 +78,10 @@ class ByteReader {
  public:
   ByteReader(std::span<const std::uint8_t> data, const char* what) : data_(data), what_(what) {}
 
-  std::uint8_t u8() {
-    need(1);
-    return data_[pos_++];
-  }
-  std::uint16_t u16() {
-    std::uint16_t lo = u8();
-    return static_cast<std::uint16_t>(lo | (u8() << 8));
-  }
-  std::uint32_t u32() {
-    std::uint32_t lo = u16();
-    return lo | (static_cast<std::uint32_t>(u16()) << 16);
-  }
-  std::uint64_t u64() {
-    std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
+  std::uint8_t u8() { return take<std::uint8_t>(); }
+  std::uint16_t u16() { return take<std::uint16_t>(); }
+  std::uint32_t u32() { return take<std::uint32_t>(); }
+  std::uint64_t u64() { return take<std::uint64_t>(); }
   /// The next `n` bytes, in place.
   std::span<const std::uint8_t> view(std::size_t n) {
     need(n);
@@ -103,11 +105,19 @@ class ByteReader {
   std::size_t remaining() const noexcept { return data_.size() - pos_; }
 
  private:
+  template <typename T>
+  T take() {
+    need(sizeof(T));
+    const T v = load_le<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
   void need(std::size_t n) {
-    if (n > remaining()) {
-      throw RuntimeError(std::string("truncated ") + what_ + " (need " + std::to_string(n) +
-                         " bytes, have " + std::to_string(remaining()) + ")");
-    }
+    if (n > remaining()) [[unlikely]] truncated(n);
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void truncated(std::size_t n) const {
+    throw RuntimeError(std::string("truncated ") + what_ + " (need " + std::to_string(n) +
+                       " bytes, have " + std::to_string(remaining()) + ")");
   }
 
   std::span<const std::uint8_t> data_;

@@ -8,39 +8,19 @@
 //     heap allocations (counted via global operator new overrides).
 //   * Counter::add on the enabled path is allocation-free too.
 //   * So are the kernel's per-access checks: bound port reads and writes
-//     and a thread's wait() (last, because a kernel run touches the
-//     registry).
+//     and a thread's wait(), and a steady-state delta of a clocked design
+//     (last, because a kernel run touches the registry).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_counter.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sysc/sysc.hpp"
 
 namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// Count every scalar/array heap allocation in the process. The matching
-// deletes free with std::free; the aligned overloads keep the pairs legal
-// for over-aligned types.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
 
 using namespace nisc;
+using test::g_allocations;
 
 TEST(ObsOverheadTest, InertUntilFirstTouch) {
   // Nothing in this binary has used metrics or tracing yet: the registry
@@ -121,6 +101,37 @@ TEST(ObsOverheadTest, PassingKernelChecksAllocateNothing) {
   EXPECT_EQ(sum, 7000);
   EXPECT_EQ(waits, 1003u);
   EXPECT_EQ(out_sig.read(), 7);
+}
+
+TEST(ObsOverheadTest, ClockedDeltasAllocateNothing) {
+  // The timed queue, the delta-notification list and an event's waiters
+  // keep their capacity, so once they have grown a delta allocates nothing.
+  sysc::sc_simcontext ctx;
+  auto& clk = ctx.create<sysc::sc_clock>("clk", sysc::sc_time(10, sysc::SC_NS));
+  std::uint64_t edges = 0;
+  std::uint64_t naps = 0;
+  ctx.create_thread("edge", [&] {
+    for (;;) {
+      sysc::wait(clk.posedge_event());
+      ++edges;
+    }
+  });
+  ctx.create_thread("nap", [&] {
+    for (;;) {
+      sysc::wait(sysc::sc_time(70, sysc::SC_NS));
+      ++naps;
+    }
+  });
+  ctx.run(sysc::sc_time(1, sysc::SC_US));  // warm-up: map both stacks, grow every queue
+
+  const std::uint64_t deltas = ctx.delta_count();
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  ctx.run(sysc::sc_time(100, sysc::SC_US));
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_GE(ctx.delta_count() - deltas, 10000u);
+  EXPECT_EQ(after - before, 0u) << "a steady-state delta must not allocate";
+  EXPECT_EQ(edges, 10101u);
+  EXPECT_EQ(naps, 1442u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // back with the in-repo JSON parser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -286,6 +287,19 @@ TEST(TraceSnapshotTest, EncodedBytesArePinned) {
       0x00, 0x00, 0x63, 0x00, 0x00, 0x00, 0x00};
   EXPECT_EQ(obs::encode_trace_snapshot(snap), expected);
   EXPECT_EQ(obs::decode_trace_snapshot(expected), snap);
+}
+
+// The thread and event counts come off the wire: a count that the bytes
+// left cannot hold is a truncated snapshot, never an allocation that size.
+TEST(TraceSnapshotTest, CountsBeyondTheBytesAreTruncated) {
+  obs::TraceSnapshot snap;
+  snap.threads.push_back({3, 0, {{"span", "cat", "", 0, 100, 2000, 0, 'B'}}});
+  const std::vector<std::uint8_t> wire = obs::encode_trace_snapshot(snap);
+  for (const std::size_t count_at : {std::size_t{8}, std::size_t{24}}) {  // threads, events
+    std::vector<std::uint8_t> bad = wire;
+    std::fill_n(bad.begin() + static_cast<std::ptrdiff_t>(count_at), 4, 0xFF);
+    EXPECT_THROW(obs::decode_trace_snapshot(bad), util::RuntimeError) << "count at " << count_at;
+  }
 }
 
 TEST_F(ChromeTraceTest, MergedExportAlignsClocksAndLinksFlows) {

@@ -2,6 +2,7 @@
 // signals, fifos, clocks, iss ports and kernel-extension hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "sysc/sysc.hpp"
+#include "util/rng.hpp"
 
 namespace nisc::sysc {
 namespace {
@@ -782,6 +784,145 @@ TEST(RunTest, DeterministicAcrossIdenticalRuns) {
     return std::pair(ctx.stats().delta_cycles, sig.read());
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------- timed queue
+
+/// A few hundred timed notifications, scheduled in index order (entry i
+/// gets sequence number i) at a handful of distinct times: an event
+/// notified by a method that runs once at initialization, or a thread's
+/// wait(time). Some events are destroyed while their entry is queued.
+struct TimedPlan {
+  struct Entry {
+    bool thread = false;
+    std::uint64_t at_ps = 0;
+    bool cancelled_early = false;  ///< destroyed before the first advance
+    bool cancelled_late = false;   ///< destroyed after the first window
+  };
+  std::vector<Entry> entries;
+
+  explicit TimedPlan(std::uint64_t seed) {
+    util::Rng rng(seed);
+    entries.resize(300);
+    for (Entry& e : entries) {
+      e.thread = rng.below(3) == 0;
+      e.at_ps = rng.below(16) * 1000;
+      e.cancelled_early = !e.thread && rng.below(7) == 0;
+      e.cancelled_late = !e.thread && !e.cancelled_early && rng.below(7) == 0;
+    }
+  }
+};
+
+using Fire = std::pair<std::uint64_t, std::size_t>;  // (time in ps, entry index)
+
+/// `prefix` followed by `i`, built by appending (GCC 12 at -O3 warns a
+/// false -Wrestrict on "literal" + std::string here).
+std::string indexed(const char* prefix, std::size_t i) {
+  std::string name = prefix;
+  name += std::to_string(i);
+  return name;
+}
+
+/// The design for a TimedPlan: the receiver of entry i (method "m<i>" or
+/// thread "p<i>") logs a Fire when the entry fires. Events share four
+/// names, so a snapshot tells them apart by ordinal. kernel_state keeps no
+/// thread stacks, so a restored design starts each thread past its wait.
+struct TimedDesign {
+  std::vector<std::unique_ptr<sc_event>> events;  // null for thread entries
+  std::vector<Fire> log;
+
+  TimedDesign(sc_simcontext& ctx, const TimedPlan& plan, bool restored) {
+    sc_simcontext::ContextGuard guard(ctx);
+    events.resize(plan.entries.size());
+    for (std::size_t i = 0; i < plan.entries.size(); ++i) {
+      const TimedPlan::Entry& e = plan.entries[i];
+      const sc_time at = sc_time::from_ps(e.at_ps);
+      if (e.thread) {
+        ctx.create_thread(indexed("p", i), [this, &ctx, i, at, restored] {
+          if (!restored) wait(at);
+          log.emplace_back(ctx.time_stamp().ps(), i);
+        });
+        continue;
+      }
+      events[i] = std::make_unique<sc_event>(indexed("ev", i % 4));
+      sc_event& event = *events[i];
+      ctx.create_method(indexed("p", i), [&event, at] { event.notify(at); });
+      auto log_fire = [this, &ctx, i] { log.emplace_back(ctx.time_stamp().ps(), i); };
+      sc_process& receiver = ctx.create_method(indexed("m", i), log_fire);
+      receiver.make_sensitive(event);
+      receiver.dont_initialize();
+    }
+  }
+  TimedDesign(const TimedDesign&) = delete;
+  TimedDesign& operator=(const TimedDesign&) = delete;
+
+  void cancel(const TimedPlan& plan, bool late) {
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const TimedPlan::Entry& e = plan.entries[i];
+      if (late ? e.cancelled_late : e.cancelled_early) events[i].reset();
+    }
+  }
+};
+
+TEST(TimedQueueTest, EntriesFireInTimeThenSchedulingOrderThroughCancelAndRestore) {
+  constexpr std::uint64_t kWindowPs = 5000;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    const TimedPlan plan(seed);
+    // The fires a correct queue makes, in (ps, seq) order: within the
+    // first window, or after it (when the late cancellations are done).
+    auto expected = [&plan](bool after_window) {
+      std::vector<Fire> fires;
+      for (std::size_t i = 0; i < plan.entries.size(); ++i) {
+        const TimedPlan::Entry& e = plan.entries[i];
+        if (e.cancelled_early || (after_window && e.cancelled_late)) continue;
+        if ((e.at_ps > kWindowPs) == after_window) fires.emplace_back(e.at_ps, i);
+      }
+      std::sort(fires.begin(), fires.end());
+      return fires;
+    };
+
+    sc_simcontext original;
+    TimedDesign design(original, plan, /*restored=*/false);
+    original.run(0_ns);  // initialization: every entry is queued, none has fired
+    design.cancel(plan, /*late=*/false);
+    original.run(sc_time::from_ps(kWindowPs));
+    EXPECT_EQ(design.log, expected(/*after_window=*/false));
+    design.cancel(plan, /*late=*/true);
+
+    // The snapshot lists the pending entries in firing order.
+    const kernel_state state = original.save_state();
+    std::vector<kernel_state::timed_entry> pending;
+    for (const Fire& fire : expected(/*after_window=*/true)) {
+      const std::size_t i = fire.second;
+      kernel_state::timed_entry entry{fire.first, i, plan.entries[i].thread, "", 0};
+      if (entry.is_process) {
+        entry.name = indexed("p", i);
+      } else {
+        entry.name = indexed("ev", i % 4);
+        for (std::size_t j = i % 4; j < i; j += 4) {
+          if (design.events[j] != nullptr) ++entry.ordinal;
+        }
+      }
+      pending.push_back(entry);
+    }
+    EXPECT_EQ(state.timed, pending);
+    EXPECT_TRUE(state.delta_events.empty());
+
+    // The rest fires in that order, and identically in a rebuilt design.
+    design.log.clear();
+    original.run(20_ns);
+    EXPECT_EQ(design.log, expected(/*after_window=*/true));
+
+    sc_simcontext rebuilt;
+    TimedDesign copy(rebuilt, plan, /*restored=*/true);
+    copy.cancel(plan, /*late=*/false);
+    copy.cancel(plan, /*late=*/true);
+    rebuilt.restore_state(state);
+    EXPECT_EQ(rebuilt.save_state(), state);
+    rebuilt.run(20_ns);
+    EXPECT_EQ(copy.log, design.log);
+  }
 }
 
 // ---------------------------------------------------------------- modules
